@@ -15,7 +15,6 @@ from .linalg import (
     SubsystemLayout,
     kron,
     max_entangled,
-    partial_trace,
 )
 
 KRAUS_TOL = 1e-9
@@ -133,18 +132,7 @@ class Channel:
 
     def apply_stinespring(self, rho) -> np.ndarray:
         """Channel action through the dilation; agrees with :meth:`apply`."""
-        if self.stinespring is None:
-            raise ValueError("channel has no Stinespring representation")
-        rho = np.asarray(rho.data if isinstance(rho, DensityMatrix) else rho,
-                         dtype=complex)
-        dil = self.stinespring
-        psi = dil.env_state.amplitudes
-        joint = kron(rho, np.outer(psi, psi.conj()))
-        u = dil.joint_unitary
-        evolved = u @ joint @ u.conj().T
-        layout = SubsystemLayout.of(("S", self.input_dim), ("E", dil.env_state.dim))
-        dm = DensityMatrix(evolved, layout)
-        return partial_trace(dm, {"S"}).data
+        return self.dilation_state(rho).marginal("S").data
 
     def dilation_state(self, rho_s) -> DensityMatrix:
         """Joint S (x) E state after the dilation unitary (no partial trace)."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel
-from .entropy import chain_bounds, h_max_smooth, h_min_cond, h_min_smooth
+from .entropy import SDP_MAX_DIM, chain_bounds, h_max_smooth, h_min_cond, h_min_smooth
 from .linalg import haar_state, maximally_mixed, trace_distance
 
 
@@ -71,6 +71,10 @@ def decoupling_bound(ch: Channel, eps: float = 0.0) -> DecouplingBound:
     chain-rule variant replaces the conditional entropy with the best of the
     subtraction bounds and is strictly weaker.
     """
+    # checked before the Choi state is built: it is dense in (d_A d_B)^2
+    n = ch.input_dim * ch.output_dim
+    if n > SDP_MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds solver envelope {SDP_MAX_DIM}")
     choi = ch.choi().state
     bits = h_min_cond(choi, eps=eps)
     b1, b2 = chain_bounds(choi, eps)
@@ -235,8 +239,8 @@ def decoupling_report(ch: Channel, n_samples: int = 200, seed: int = 0,
                       deltas=(0.5,), eps: float = 0.0,
                       workers: int = 1) -> DecouplingReport:
     """End-to-end report: empirical average, entropic bound, tail checks."""
-    mean, std, samples = avg_output_distance(ch, n_samples, seed, workers=workers)
     bounds = decoupling_bound(ch, eps=eps)
+    mean, std, samples = avg_output_distance(ch, n_samples, seed, workers=workers)
     tail = {float(d): concentration_check(samples, bounds.sdp_bound, float(d),
                                           ch.input_dim)
             for d in deltas}

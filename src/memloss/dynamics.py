@@ -14,7 +14,6 @@ from .linalg import (
     DensityMatrix,
     Evolver,
     SubsystemLayout,
-    embed_subspace,
     kron,
     trace_distance,
 )
@@ -30,8 +29,11 @@ _SX, _SZ = PAULI[1], PAULI[3]
 class CriterionVerdict:
     """Outcome of one entropic comparison at one time.
 
-    ``margin = rhs - lhs``; the verdict only fires when the conservative
-    soundness direction of the smoothed entropies supports it.
+    ``margin`` is how far the comparison holds in the direction that fires
+    the verdict: ``rhs - lhs`` for memory lost, ``lhs - rhs`` for memory
+    retained.  The verdict fires exactly when ``margin > slack``, and only
+    where the conservative soundness direction of the smoothed entropies
+    supports it.
     """
 
     time: float
@@ -196,42 +198,79 @@ class HamiltonianSpec:
 
 
 # ---------------------------------------------------------------------------
-# The special states.
+# The special states.  Each is ``x0 x0^dag`` for d x d_Omega columns x0, so
+# it evolves as ``U(t) x0`` and its marginals come from the reshaped columns.
 # ---------------------------------------------------------------------------
 
 
-def _pi_omega(dim: int, iso: np.ndarray | None) -> np.ndarray:
-    if iso is None:
-        return np.eye(dim, dtype=complex) / dim
-    d_sub = iso.shape[1]
-    return embed_subspace(np.eye(d_sub, dtype=complex) / d_sub, iso)
+def _flat_columns(dim: int, iso: np.ndarray | None) -> np.ndarray:
+    """Columns x with ``x x^dag = pi_Omega``, the flat state on the subspace."""
+    cols = np.eye(dim, dtype=complex) if iso is None else iso
+    return cols / np.sqrt(cols.shape[1])
+
+
+def _tau_columns(spec: HamiltonianSpec) -> np.ndarray:
+    if spec.psi_e is None:
+        raise ValueError("spec has no environment state psi_e")
+    return kron(_flat_columns(spec.d_s, spec.omega_s), spec.psi_e[:, None])
+
+
+def _tilde_columns(spec: HamiltonianSpec) -> np.ndarray:
+    if spec.phi_s is None:
+        raise ValueError("spec has no system state phi_s")
+    return kron(spec.phi_s[:, None], _flat_columns(spec.d_e, spec.omega_e))
+
+
+def _evolved(spec: HamiltonianSpec, x0: np.ndarray, t: float) -> DensityMatrix:
+    y = spec.evolver.apply(x0, t)
+    return DensityMatrix(y @ y.conj().T, spec.layout)
 
 
 def tau_SE(spec: HamiltonianSpec, t: float) -> DensityMatrix:
     """``U(t) (pi_{Omega_S} (x) |psi><psi|_E) U(t)^dag``."""
-    if spec.psi_e is None:
-        raise ValueError("spec has no environment state psi_e")
-    pi_s = _pi_omega(spec.d_s, spec.omega_s)
-    env = np.outer(spec.psi_e, spec.psi_e.conj())
-    rho0 = kron(pi_s, env)
-    u = spec.evolver.unitary(t)
-    return DensityMatrix(u @ rho0 @ u.conj().T, spec.layout)
+    return _evolved(spec, _tau_columns(spec), t)
 
 
 def tilde_tau_SE(spec: HamiltonianSpec, t: float) -> DensityMatrix:
     """``U(t) (|phi><phi|_S (x) pi_{Omega_E}) U(t)^dag``."""
-    if spec.phi_s is None:
-        raise ValueError("spec has no system state phi_s")
-    sys = np.outer(spec.phi_s, spec.phi_s.conj())
-    pi_e = _pi_omega(spec.d_e, spec.omega_e)
-    rho0 = kron(sys, pi_e)
-    u = spec.evolver.unitary(t)
-    return DensityMatrix(u @ rho0 @ u.conj().T, spec.layout)
+    return _evolved(spec, _tilde_columns(spec), t)
+
+
+def _squared_singular_values(m: np.ndarray) -> np.ndarray:
+    """Spectrum of ``m m^dag``, descending, zero-padded to its dimension
+    (``h_min_smooth`` reads the dimension off the spectrum's length)."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return np.pad(sv * sv, (0, m.shape[0] - sv.size))
+
+
+def _marginal_spectra(y: np.ndarray, d_s: int, d_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and E spectra of ``y y^dag`` on S (x) E, from its d x r columns."""
+    cols = y.reshape(d_s, d_e, -1)
+    return (_squared_singular_values(cols.reshape(d_s, -1)),
+            _squared_singular_values(cols.swapaxes(0, 1).reshape(d_e, -1)))
 
 
 # ---------------------------------------------------------------------------
 # Criteria.
 # ---------------------------------------------------------------------------
+
+
+def _criteria(spec: HamiltonianSpec, x0: np.ndarray, t: float, eps: float,
+              slack: float) -> tuple[CriterionVerdict, CriterionVerdict]:
+    s, e = _marginal_spectra(spec.evolver.apply(x0, t), spec.d_s, spec.d_e)
+    hmin_s, hmax_s = h_min_smooth(s, eps), h_max_smooth(s, eps)
+    hmin_e, hmax_e = h_min_smooth(e, eps), h_max_smooth(e, eps)
+
+    def verdict(lhs, rhs, margin, fired, criterion):
+        return CriterionVerdict(time=t, lhs=lhs, rhs=rhs, margin=margin,
+                                epsilon=eps,
+                                verdict=fired if margin > slack else INCONCLUSIVE,
+                                criterion=criterion)
+
+    return (verdict(hmax_s, hmin_e, hmin_e - hmax_s, MEMORY_LOST,
+                    "hmax(S) <~ hmin(E)"),
+            verdict(hmin_s, hmax_e, hmin_s - hmax_e, MEMORY_RETAINED,
+                    "hmin(S) >~ hmax(E)"))
 
 
 def system_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
@@ -243,42 +282,18 @@ def system_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
     memory retained).  Both use the conservative bound directions, so a
     fired verdict is sound.
     """
-    tau = tau_SE(spec, t)
-    s, e = tau.marginal("S"), tau.marginal("E")
-    hmin_s, hmax_s = h_min_smooth(s, eps), h_max_smooth(s, eps)
-    hmin_e, hmax_e = h_min_smooth(e, eps), h_max_smooth(e, eps)
-    lost = CriterionVerdict(
-        time=t, lhs=hmax_s, rhs=hmin_e, margin=hmin_e - hmax_s, epsilon=eps,
-        verdict=MEMORY_LOST if hmin_e - hmax_s > slack else INCONCLUSIVE,
-        criterion="hmax(S) <~ hmin(E)")
-    retained = CriterionVerdict(
-        time=t, lhs=hmin_s, rhs=hmax_e, margin=hmax_e - hmin_s, epsilon=eps,
-        verdict=MEMORY_RETAINED if hmin_s - hmax_e > slack else INCONCLUSIVE,
-        criterion="hmin(S) >~ hmax(E)")
-    return lost, retained
+    return _criteria(spec, _tau_columns(spec), t, eps, slack)
 
 
 def env_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
                  slack: float = 0.0) -> tuple[CriterionVerdict, CriterionVerdict]:
     """Memory-of-environment-microstate criteria on ``tilde_tau_SE(t)``.
 
-    The first verdict compares ``H_min^eps(E) >~ H_max^eps(S)`` (fires:
-    output independent of the environment microstate, i.e. that memory is
-    lost); the second is the converse (memory retained).
+    The same two comparisons as :func:`system_criteria`: the first fires
+    when the output is independent of the environment microstate (that
+    memory is lost), the second when it depends on it (memory retained).
     """
-    tau = tilde_tau_SE(spec, t)
-    s, e = tau.marginal("S"), tau.marginal("E")
-    hmin_s, hmax_s = h_min_smooth(s, eps), h_max_smooth(s, eps)
-    hmin_e, hmax_e = h_min_smooth(e, eps), h_max_smooth(e, eps)
-    independent = CriterionVerdict(
-        time=t, lhs=hmax_s, rhs=hmin_e, margin=hmin_e - hmax_s, epsilon=eps,
-        verdict=MEMORY_LOST if hmin_e - hmax_s > slack else INCONCLUSIVE,
-        criterion="hmin(E) >~ hmax(S)")
-    dependent = CriterionVerdict(
-        time=t, lhs=hmin_s, rhs=hmax_e, margin=hmax_e - hmin_s, epsilon=eps,
-        verdict=MEMORY_RETAINED if hmin_s - hmax_e > slack else INCONCLUSIVE,
-        criterion="hmax(E) <~ hmin(S)")
-    return independent, dependent
+    return _criteria(spec, _tilde_columns(spec), t, eps, slack)
 
 
 def dimension_certificates(spec: HamiltonianSpec) -> tuple[bool, bool]:
@@ -324,11 +339,10 @@ def lightcone_scan(spec: HamiltonianSpec, times, eps: float = 0.05,
     deficit = np.empty_like(times)
     t_star = None
     for i, t in enumerate(times):
-        tau = tau_SE(spec, float(t))
-        s, e = tau.marginal("S"), tau.marginal("E")
-        h_max_env[i] = h_max_smooth(e, eps)
-        deficit[i] = log_ds - h_min_smooth(s, eps)
-        if t_star is None and h_min_smooth(e, eps) - h_max_smooth(s, eps) > slack:
+        lost, retained = system_criteria(spec, float(t), eps, slack)
+        h_max_env[i] = retained.rhs
+        deficit[i] = log_ds - retained.lhs
+        if t_star is None and lost.verdict == MEMORY_LOST:
             t_star = float(t)
 
     def initial_slope(values):

@@ -461,17 +461,6 @@ def chain_bounds(rho: DensityMatrix, eps: float, correction=None) -> tuple[float
 
 
 @dataclass
-class SmoothingParams:
-    epsilon: float = 0.05
-    bisection_tolerance: float = 1e-10
-    oracle_grid: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must be in [0, 1)")
-
-
-@dataclass
 class EntropyReport:
     """Entropy bundle for one marginal at one time."""
 

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from memloss import decoupling
+from memloss.channels import Channel
 from memloss.cli import emit, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
 from memloss.linalg import PAULI
@@ -154,6 +156,23 @@ class TestChannelCommands:
                         channel={"builtin": "depolarizing", "p": 0.2},
                         seed=0, delta=0.001)
         assert main(["converse", cfg]) == 2
+
+    def test_decoupling_too_large_rejected_before_work(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # d = 17: the Choi state would be 289 x 289, past SDP_MAX_DIM = 256;
+        # neither the sampling nor the dense Choi state may run first
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the dimension check")
+
+        monkeypatch.setattr(decoupling, "avg_output_distance", forbidden)
+        monkeypatch.setattr(Channel, "_build_choi", forbidden)
+        out = tmp_path / "dec.json"
+        cfg = write_cfg(tmp_path / "c.json",
+                        channel={"builtin": "identity", "d": 17},
+                        samples=5, seed=0, output=str(out))
+        assert main(["decoupling", cfg]) == 2
+        assert "289" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_channel(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", channel={"builtin": "amplitude"},

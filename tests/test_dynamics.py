@@ -1,11 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from memloss import assignment
 from memloss.dynamics import (
     INCONCLUSIVE,
     MEMORY_LOST,
     MEMORY_RETAINED,
     HamiltonianSpec,
+    _marginal_spectra,
+    _tau_columns,
+    _tilde_columns,
     dimension_certificates,
     env_criteria,
     lightcone_scan,
@@ -18,6 +27,8 @@ from memloss.dynamics import (
 )
 from memloss.entropy import h_max, h_min
 from memloss.linalg import SubsystemLayout, haar_state, kron, trace_distance
+
+PROPERTY = settings(max_examples=30, deadline=None)
 
 
 def random_hermitian(d, rng):
@@ -312,3 +323,111 @@ class TestCodec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             spec_from_dict({"kind": "banana"})
+
+
+# ---------------------------------------------------------------------------
+# The column evolution against a dense oracle: ``expm(-iHt) rho0 expm(iHt)``
+# on the full d x d initial state, partial traces by einsum, eigvalsh.
+# ---------------------------------------------------------------------------
+
+
+def random_isometry(d, k, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(g)[0][:, :k]
+
+
+@st.composite
+def explicit_specs(draw, subspaces=True):
+    d_s, d_e = draw(st.sampled_from([2, 3, 4])), draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    isos = {}
+    for name, d in (("omega_s", d_s), ("omega_e", d_e)):
+        if subspaces and draw(st.booleans()):
+            isos[name] = random_isometry(d, draw(st.integers(1, d)), rng)
+    return HamiltonianSpec.explicit(random_hermitian(d_s * d_e, rng), d_s, d_e,
+                                    psi_e=haar_state(d_e, rng).amplitudes,
+                                    phi_s=haar_state(d_s, rng).amplitudes, **isos)
+
+
+times_st = st.floats(0.0, 20.0, allow_nan=False)
+
+
+def flat(d, iso):
+    p = np.eye(d) if iso is None else iso @ iso.conj().T
+    return p / np.trace(p).real
+
+
+def oracle_states(spec, t):
+    """Dense ``tau_SE(t)`` and ``tilde_tau_SE(t)``."""
+    u = expm(-1j * t * spec.matrix)
+    psi, phi = spec.psi_e, spec.phi_s
+    rho_tau = np.kron(flat(spec.d_s, spec.omega_s), np.outer(psi, psi.conj()))
+    rho_tilde = np.kron(np.outer(phi, phi.conj()), flat(spec.d_e, spec.omega_e))
+    return [u @ rho0 @ u.conj().T for rho0 in (rho_tau, rho_tilde)]
+
+
+def oracle_marginals(rho, d_s, d_e):
+    r = rho.reshape(d_s, d_e, d_s, d_e)
+    return np.einsum("aebe->ab", r), np.einsum("sasb->ab", r)
+
+
+class TestColumnEvolution:
+    @PROPERTY
+    @given(explicit_specs(), times_st)
+    def test_reference_states_match_dense_oracle(self, spec, t):
+        want_tau, want_tilde = oracle_states(spec, t)
+        assert np.abs(tau_SE(spec, t).data - want_tau).max() < 1e-10
+        assert np.abs(tilde_tau_SE(spec, t).data - want_tilde).max() < 1e-10
+
+    @PROPERTY
+    @given(explicit_specs(), times_st)
+    def test_marginal_spectra_match_dense_oracle(self, spec, t):
+        d_s, d_e = spec.d_s, spec.d_e
+        for x0, rho in zip((_tau_columns(spec), _tilde_columns(spec)),
+                           oracle_states(spec, t)):
+            got = _marginal_spectra(spec.evolver.apply(x0, t), d_s, d_e)
+            for lam, marginal in zip(got, oracle_marginals(rho, d_s, d_e)):
+                want = np.linalg.eigvalsh(marginal)[::-1]
+                assert lam.shape == want.shape
+                assert np.abs(lam - want).max() < 1e-10
+
+    @PROPERTY
+    @given(explicit_specs(subspaces=False),
+           st.lists(times_st, min_size=1, max_size=4),
+           st.integers(0, 2**16))
+    def test_absence_matches_per_sample_dense_loop(self, spec, times, seed):
+        d_s, d_e, n = spec.d_s, spec.d_e, 4
+        phi = spec.phi_s
+        # pin the radius at 1 so that the exceedance count is not always 0
+        offset = d_s / np.sqrt(d_e) + d_e ** (-1.0 / 3.0)
+        with mock.patch.object(assignment, "memory_bound",
+                               lambda delta: (1.0 - offset, True)):
+            rep = assignment.verify_absence(spec, phi, times, n_env_samples=n,
+                                            seed=seed)
+        phi_dm = np.outer(phi, phi.conj())
+
+        def dist(rho):
+            s_part = oracle_marginals(rho, d_s, d_e)[0]
+            return np.linalg.svd(s_part - phi_dm, compute_uv=False).sum()
+
+        max_dist, exceed = 0.0, 0
+        for t in times:
+            u = expm(-1j * t * spec.matrix)
+            rho = u @ np.kron(phi_dm, np.eye(d_e) / d_e) @ u.conj().T
+            max_dist = max(max_dist, dist(rho))
+            for i in range(n):
+                psi = haar_state(d_e, np.random.default_rng([seed, i])).amplitudes
+                v = u @ np.kron(phi, psi)
+                exceed += dist(np.outer(v, v.conj())) > rep.radius
+        assert rep.deterministic_max_distance == pytest.approx(max_dist, abs=1e-10)
+        assert rep.mc_exceed_fraction == exceed / (n * len(times))
+
+    @PROPERTY
+    @given(explicit_specs(), times_st, st.floats(-1.0, 1.0))
+    def test_verdict_fires_exactly_when_margin_exceeds_slack(self, spec, t, slack):
+        for routine in (system_criteria, env_criteria):
+            lost, retained = routine(spec, t, 0.05, slack)
+            assert lost.margin == lost.rhs - lost.lhs
+            assert retained.margin == retained.lhs - retained.rhs
+            for v in (lost, retained):
+                assert (v.verdict != INCONCLUSIVE) == (v.margin > slack)
