@@ -88,35 +88,49 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+# A field of the wrong JSON type (null, a number for a list) raises TypeError
+# inside the parsers; every parse error is a config error, exit code 2.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError)
+
+
 def _times_of(cfg: dict) -> list[float]:
     times = _require(cfg, "times")
-    if isinstance(times, dict):
-        return list(np.linspace(float(times["start"]), float(times["stop"]),
-                                int(times["num"])))
-    return [float(t) for t in times]
+    try:
+        if isinstance(times, dict):
+            return list(np.linspace(float(times["start"]), float(times["stop"]),
+                                    int(times["num"])))
+        return [float(t) for t in times]
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"bad times: {exc}") from exc
 
 
 def _spec_of(cfg: dict) -> dynamics.HamiltonianSpec:
+    spec = _require(cfg, "hamiltonian")
+    if not isinstance(spec, dict):
+        raise ConfigError("hamiltonian must be an object")
     try:
-        return dynamics.spec_from_dict(_require(cfg, "hamiltonian"))
-    except (KeyError, ValueError) as exc:
+        return dynamics.spec_from_dict(spec)
+    except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad hamiltonian: {exc}") from exc
 
 
 def _channel_of(cfg: dict) -> Channel:
     spec = _require(cfg, "channel")
-    if isinstance(spec, str):
-        return Channel.from_kraus(load_kraus_file(spec), name=spec)
-    if not isinstance(spec, dict):
+    if not isinstance(spec, (str, dict)):
         raise ConfigError("channel must be a Kraus file path or an object")
-    name = spec.get("builtin")
-    if name == "depolarizing":
-        return depolarizing(float(spec["p"]))
-    if name == "identity":
-        return Channel.identity(int(spec["d"]))
-    if "kraus_file" in spec:
-        return Channel.from_kraus(load_kraus_file(spec["kraus_file"]),
-                                  name=spec["kraus_file"])
+    try:
+        if isinstance(spec, str):
+            return Channel.from_kraus(load_kraus_file(spec), name=spec)
+        name = spec.get("builtin")
+        if name == "depolarizing":
+            return depolarizing(float(spec["p"]))
+        if name == "identity":
+            return Channel.identity(int(spec["d"]))
+        if "kraus_file" in spec:
+            return Channel.from_kraus(load_kraus_file(spec["kraus_file"]),
+                                      name=spec["kraus_file"])
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"bad channel: {exc}") from exc
     raise ConfigError(f"unrecognized channel description {spec!r}")
 
 

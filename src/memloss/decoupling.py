@@ -42,8 +42,9 @@ def avg_output_distance(ch: Channel, n_samples: int, seed: int,
     ref = ch.apply(maximally_mixed(d))
 
     def one(i: int) -> float:
-        phi = haar_state(d, _sample_rng(seed, i))
-        return trace_distance(ch.apply(phi.density()), ref)
+        # the input is normalized by construction: no DensityMatrix check
+        v = haar_state(d, _sample_rng(seed, i)).amplitudes
+        return trace_distance(ch.apply(np.outer(v, v.conj())), ref)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -6,10 +6,10 @@ min-entropy of a normalized state can exceed ``log2 d`` by up to
 ``log2 1/(1 - eps^2)``.
 
 Soundness directions: :func:`h_min_smooth` evaluates a feasible candidate
-family (eigenvalue caps) and is therefore a certified *lower* bound on the
-smoothed min-entropy; :func:`h_max_smooth` (tail removal) is a certified
-*upper* bound on the smoothed max-entropy.  Criterion consumers can use both
-conservatively.
+family (eigenvalue caps, every split at once from prefix sums) and is thus
+a certified *lower* bound on the smoothed min-entropy; :func:`h_max_smooth`
+(tail removal) is a certified *upper* bound on the smoothed max-entropy.
+Criterion consumers can use both conservatively.
 """
 
 from __future__ import annotations
@@ -75,63 +75,62 @@ def _smooth_target(eps: float) -> float:
     return float(np.sqrt(1.0 - eps * eps))
 
 
-def _best_capped_fidelity(lam: np.ndarray, m: float) -> float:
-    """Largest generalized fidelity to ``lam`` over commuting candidates with
-    every eigenvalue at most m and trace at most 1.
+def _capped_fidelity(lam: np.ndarray):
+    """Best generalized fidelity to ``lam`` as a function of the ceiling m.
 
-    Candidates: the plain cap ``min(lambda_i, m)`` and the water-filled
-    allocations ``min(m, t lambda_i)`` that spend the full unit budget; each
-    is feasible, so the maximum is a valid (and in fact optimal) choice.
+    Candidates: the plain cap ``min(lambda_i, m)``, (k, t) = (0, 1); every
+    entry at m when ``d m <= 1``, (d, 1); else, for each split k, the top k
+    at m and the rest ``min(m, t lambda_i)``, ``t = (1 - k m) / T_k``.  With
+    ``P_k = sum_{i<k} sqrt(lambda_i)``, ``T_k = sum_{i>=k} lambda_i`` and
+    ``j = max(k, #{i: lambda_i >= m / t})`` a candidate has fidelity
+    ``sqrt(m) P_j + sqrt(t) T_j`` at trace ``j m + t T_j``, so every split
+    is evaluated at once from prefix sums made once per call.
     """
-    s = float(lam.sum())
-    slack = max(0.0, 1.0 - s)
-    cap = np.minimum(lam, m)
-    best = float(np.sqrt(lam * cap).sum()
-                 + np.sqrt(slack * max(0.0, 1.0 - cap.sum())))
     d = lam.size
-    sqrt_lam = np.sqrt(lam)
-    if d * m <= 1.0:
-        # budget cannot be exhausted: every entry sits at the cap
-        best = max(best, float(np.sqrt(m) * sqrt_lam.sum()
-                               + np.sqrt(slack * (1.0 - d * m))))
-        return best
-    # top-k entries at the cap, the rest proportional to lambda
-    prefix_sqrt = np.concatenate(([0.0], np.cumsum(sqrt_lam)))
-    suffix_sum = np.concatenate((np.cumsum(lam[::-1])[::-1], [0.0]))
-    for k in range(d):
-        tail = suffix_sum[k]
-        rest = 1.0 - k * m
-        if rest <= 0.0 or tail <= 0.0:
-            break
-        t = rest / tail
-        sigma_tail = np.minimum(m, t * lam[k:])
-        fid = np.sqrt(m) * prefix_sqrt[k] + float(np.sqrt(lam[k:] * sigma_tail).sum())
-        spent = k * m + float(sigma_tail.sum())
-        fid += np.sqrt(slack * max(0.0, 1.0 - spent))
-        best = max(best, float(fid))
+    slack = max(0.0, 1.0 - float(lam.sum()))
+    keys = -lam  # ascending, for searchsorted
+    # extended-precision running sums: a float64 one drifts by up to k ulps
+    prefix_sqrt = np.cumsum(np.r_[0.0, np.sqrt(lam)], dtype=np.longdouble).astype(float)
+    suffix_sum = np.cumsum(np.r_[0.0, lam[::-1]], dtype=np.longdouble)[::-1].astype(float)
+
+    def best(m: float) -> float:
+        if d * m <= 1.0:
+            # budget cannot be exhausted: every entry sits at the cap
+            k, t = np.array([0, d]), np.ones(2)
+        else:
+            # splits up to the first with no budget or no weight left
+            rest = 1.0 - np.arange(d) * m
+            k = np.flatnonzero(np.logical_and.accumulate((rest > 0.0) & (suffix_sum[:d] > 0.0)))
+            k, t = np.append(0, k), np.append(1.0, rest[k] / suffix_sum[k])
+        j = np.maximum(k, np.searchsorted(keys, -m / t, side="right"))
+        tail = suffix_sum[j]
+        fid = (np.sqrt(m) * prefix_sqrt[j] + np.sqrt(t) * tail
+               + np.sqrt(slack * np.maximum(0.0, 1.0 - (j * m + t * tail))))
+        return float(fid.max())
+
     return best
 
 
 def h_min_smooth(rho, eps: float, bisection_tol: float = 1e-14) -> float:
     """Smoothed min-entropy via the optimal commuting candidate.
 
-    Finds the smallest spectral ceiling m for which some subnormalized
-    state, diagonal in the eigenbasis of rho with all eigenvalues at most
-    m, stays within purified distance eps of rho; returns ``-log2 m``.
-    The search caps the large eigenvalues and water-fills the freed weight
-    over the rest, which exhausts the commuting candidates.
+    Bisects on the smallest spectral ceiling m for which some subnormalized
+    state, diagonal in rho's eigenbasis with all eigenvalues at most m, is
+    within purified distance eps of rho, and returns ``-log2 m``.  The
+    candidates cap the large eigenvalues and water-fill the freed weight over
+    the rest; each is feasible, and together they exhaust the commuting ones.
     """
     lam = spectrum_of(rho)
-    if eps == 0.0:
-        _smooth_target(eps)
-        return float(-np.log2(lam[0]))
     target = _smooth_target(eps)
+    if eps == 0.0:
+        return float(-np.log2(lam[0]))
+    fidelity = _capped_fidelity(lam)
     lo, hi = 0.0, float(lam[0])
     for _ in range(200):
         if hi - lo <= bisection_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if _best_capped_fidelity(lam, mid) >= target:
+        if fidelity(mid) >= target:
             hi = mid
         else:
             lo = mid

@@ -80,6 +80,30 @@ class TestConfigHandling:
         assert main(["criteria-scan", cfg]) == 2
         assert "times" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, fields", [
+        ("criteria-scan", {"times": 5}),
+        ("criteria-scan", {"times": {"start": None, "stop": 1, "num": 2}}),
+        ("criteria-scan", {"hamiltonian": {"kind": "spin_chain", "n_sites": None,
+                                           "s_sites": 1}}),
+        ("criteria-scan", {"hamiltonian": [1.0]}),
+        ("decoupling", {"channel": {"builtin": "depolarizing", "p": None}}),
+        ("decoupling", {"channel": {"builtin": "identity", "d": [2]}}),
+        ("decoupling", {"channel": "kraus.json"}),
+    ])
+    def test_wrong_field_type_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      command, fields):
+        # a field of the wrong JSON type is a config error, not a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kraus.json").write_text("[5]")
+        out = tmp_path / "out"
+        cfg = {"hamiltonian": product_spec_dict(), "times": [0.0],
+               "seed": 0, "samples": 2, "output": str(out)}
+        cfg.update(fields)
+        path = write_cfg(tmp_path / "c.json", **cfg)
+        assert main([command, path]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDepolThreshold:
     def test_prints_threshold(self, capsys):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from memloss import decoupling
 from memloss.channels import Channel, depolarizing
 from memloss.decoupling import (
     avg_output_distance,
@@ -12,7 +13,15 @@ from memloss.decoupling import (
     decoupling_bound,
     decoupling_report,
 )
-from memloss.linalg import PAULI, haar_state, haar_unitary, random_density
+from memloss.linalg import (
+    PAULI,
+    DensityMatrix,
+    haar_state,
+    haar_unitary,
+    maximally_mixed,
+    random_density,
+    trace_distance,
+)
 
 
 def full_depolarizing():
@@ -45,6 +54,23 @@ class TestAverageDistance:
     def test_needs_samples(self):
         with pytest.raises(ValueError):
             avg_output_distance(Channel.identity(2), 0, 0)
+
+    def test_samples_match_density_matrix_path(self, monkeypatch):
+        # the unvalidated outer product of each sampled input gives the same
+        # samples, bit for bit, as its validated DensityMatrix
+        d, n, seed = 8, 12, 3
+        ch = Channel.from_kraus([np.sqrt(0.6) * haar_unitary(d, 1),
+                                 np.sqrt(0.4) * haar_unitary(d, 2)])
+        ref = ch.apply(maximally_mixed(d))
+        want = [trace_distance(ch.apply(haar_state(d, decoupling._sample_rng(seed, i))
+                                        .density()), ref) for i in range(n)]
+        validations = []
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            lambda self: validations.append(1) or post_init(self))
+        _, _, samples = avg_output_distance(ch, n, seed)
+        assert np.array_equal(samples, want)
+        assert len(validations) == 1  # the flat reference input only
 
 
 class TestBound:

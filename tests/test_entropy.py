@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memloss.channels import depolarizing
 from memloss.entropy import (
     EntropyReport,
+    _smooth_target,
     chain_bounds,
     cq_ansatz_optimum,
     default_chain_correction,
@@ -17,6 +21,7 @@ from memloss.entropy import (
     h_min_smooth_oracle,
     min_entropy_sdp,
     shannon,
+    spectrum_of,
     von_neumann,
 )
 from memloss.linalg import (
@@ -49,6 +54,121 @@ def cq_state(blocks):
             for b in range(d):
                 m[a * n + i, b * n + i] = w * rho.data[a, b]
     return DensityMatrix(m, SubsystemLayout.of(("A", d), ("R", n)))
+
+
+# ---------------------------------------------------------------------------
+# Reference: h_min_smooth as a Python loop over the split k at every
+# bisection step, kept verbatim from before the splits were evaluated at once.
+# ---------------------------------------------------------------------------
+
+
+def _best_capped_fidelity(lam: np.ndarray, m: float) -> float:
+    """Largest generalized fidelity to ``lam`` over commuting candidates with
+    every eigenvalue at most m and trace at most 1.
+
+    Candidates: the plain cap ``min(lambda_i, m)`` and the water-filled
+    allocations ``min(m, t lambda_i)`` that spend the full unit budget; each
+    is feasible, so the maximum is a valid (and in fact optimal) choice.
+    """
+    s = float(lam.sum())
+    slack = max(0.0, 1.0 - s)
+    cap = np.minimum(lam, m)
+    best = float(np.sqrt(lam * cap).sum()
+                 + np.sqrt(slack * max(0.0, 1.0 - cap.sum())))
+    d = lam.size
+    sqrt_lam = np.sqrt(lam)
+    if d * m <= 1.0:
+        # budget cannot be exhausted: every entry sits at the cap
+        best = max(best, float(np.sqrt(m) * sqrt_lam.sum()
+                               + np.sqrt(slack * (1.0 - d * m))))
+        return best
+    # top-k entries at the cap, the rest proportional to lambda
+    prefix_sqrt = np.concatenate(([0.0], np.cumsum(sqrt_lam)))
+    suffix_sum = np.concatenate((np.cumsum(lam[::-1])[::-1], [0.0]))
+    for k in range(d):
+        tail = suffix_sum[k]
+        rest = 1.0 - k * m
+        if rest <= 0.0 or tail <= 0.0:
+            break
+        t = rest / tail
+        sigma_tail = np.minimum(m, t * lam[k:])
+        fid = np.sqrt(m) * prefix_sqrt[k] + float(np.sqrt(lam[k:] * sigma_tail).sum())
+        spent = k * m + float(sigma_tail.sum())
+        fid += np.sqrt(slack * max(0.0, 1.0 - spent))
+        best = max(best, float(fid))
+    return best
+
+
+def h_min_smooth_loop(rho, eps: float, bisection_tol: float = 1e-14) -> float:
+    """Smoothed min-entropy via the optimal commuting candidate.
+
+    Finds the smallest spectral ceiling m for which some subnormalized
+    state, diagonal in the eigenbasis of rho with all eigenvalues at most
+    m, stays within purified distance eps of rho; returns ``-log2 m``.
+    The search caps the large eigenvalues and water-fills the freed weight
+    over the rest, which exhausts the commuting candidates.
+    """
+    lam = spectrum_of(rho)
+    if eps == 0.0:
+        _smooth_target(eps)
+        return float(-np.log2(lam[0]))
+    target = _smooth_target(eps)
+    lo, hi = 0.0, float(lam[0])
+    for _ in range(200):
+        if hi - lo <= bisection_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if _best_capped_fidelity(lam, mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return float(-np.log2(hi))
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def spectra(draw):
+    """Descending spectra with d <= 256, some with ties, zeros or a trace
+    below 1; normalized ones sum to 1 only up to rounding."""
+    d = draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.sort(rng.dirichlet(np.full(d, draw(st.sampled_from([0.05, 0.5, 1.0, 5.0])))))[::-1]
+    if draw(st.booleans()):  # ties
+        lam = np.round(lam * d) + 1.0
+    lam[d - draw(st.integers(0, d - 1)):] = 0.0  # zero tail, never all zero
+    return draw(st.sampled_from([1.0, 0.9])) * lam / lam.sum()
+
+
+def candidates(lam, m):
+    """Every candidate spectrum that h_min_smooth searches at ceiling m,
+    built explicitly: the plain cap, every entry at the cap when d m <= 1,
+    else the top k at the cap and the rest water-filled to a unit trace."""
+    d = lam.size
+    out = [np.minimum(lam, m)]
+    if d * m <= 1.0:
+        return out + [np.full(d, m)]
+    for k in range(d):
+        rest, tail = 1.0 - k * m, lam[k:].sum()
+        if rest <= 0.0 or tail <= 0.0:
+            break
+        out.append(np.concatenate((np.full(k, m), np.minimum(m, rest / tail * lam[k:]))))
+    return out
+
+
+def generalized_fidelity(lam, sigma):
+    return float(np.sqrt(lam * sigma).sum()
+                 + np.sqrt(max(0.0, 1.0 - lam.sum()) * max(0.0, 1.0 - sigma.sum())))
+
+
+def iid_memory_spectrum(p, n):
+    """E^n of the depolarizing memory's environment marginal (4^n entries)."""
+    lam = depolarizing(p).dilation_state(maximally_mixed(2)).marginal("E").spectrum()
+    out = np.ones(1)
+    for _ in range(n):
+        out = np.kron(out, lam)
+    return out
 
 
 class TestPlainEntropies:
@@ -141,6 +261,36 @@ class TestSmoothing:
             a = h_max_smooth(lam, eps)
             b = h_max_smooth_oracle(lam, eps)
             assert abs(a - b) < 1e-4
+
+
+class TestSmoothingAgainstLoop:
+    """h_min_smooth against the per-split loop it replaced."""
+
+    @PROPERTY
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.5])
+    @given(lam=spectra())
+    def test_matches_loop(self, eps, lam):
+        assert abs(h_min_smooth(lam, eps) - h_min_smooth_loop(lam, eps)) < 1e-11
+
+    @pytest.mark.parametrize("seed, p_mid, n", [(5, 0.70, 5), (6, 0.50, 6)])
+    def test_matches_loop_on_iid_memory_spectra(self, seed, p_mid, n):
+        p = p_mid + np.random.default_rng(seed).uniform(-0.002, 0.002)
+        lam = np.sort(iid_memory_spectrum(p, n))[::-1]
+        assert lam.size == 4 ** n
+        assert abs(h_min_smooth(lam, 0.05) - h_min_smooth_loop(lam, 0.05)) < 1e-10
+
+    @PROPERTY
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.5])
+    @given(lam=spectra())
+    def test_result_is_certified(self, eps, lam):
+        # the best candidate at the returned ceiling is a feasible smoothing
+        # of lam within purified distance eps
+        m = 2.0 ** -h_min_smooth(lam, eps)
+        sigma = max(candidates(lam, m), key=lambda c: generalized_fidelity(lam, c))
+        assert sigma.max() <= m * (1.0 + 1e-12)
+        # water-filling spends the unit budget exactly, so up to rounding
+        assert sigma.sum() <= 1.0 + 1e-12
+        assert generalized_fidelity(lam, sigma) >= np.sqrt(1.0 - eps * eps) - 1e-12
 
 
 class TestConditionalSdp:
