@@ -93,6 +93,15 @@ def _require(cfg: dict, key: str):
 _PARSE_ERRORS = (KeyError, TypeError, ValueError)
 
 
+def _number(cfg: dict, key: str, kind=float, default=None):
+    """Scalar field ``key`` as ``kind``; required when there is no default."""
+    val = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return kind(val)
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
 def _times_of(cfg: dict) -> list[float]:
     times = _require(cfg, "times")
     try:
@@ -142,8 +151,8 @@ def _channel_of(cfg: dict) -> Channel:
 def run_criteria_scan(cfg: dict) -> int:
     spec = _spec_of(cfg)
     times = _times_of(cfg)
-    eps = float(cfg.get("epsilon", 0.05))
-    slack = float(cfg.get("slack", 0.0))
+    eps = _number(cfg, "epsilon", default=0.05)
+    slack = _number(cfg, "slack", default=0.0)
     rows = []
     counts = {dynamics.MEMORY_LOST: 0, dynamics.MEMORY_RETAINED: 0,
               dynamics.INCONCLUSIVE: 0}
@@ -168,11 +177,12 @@ def run_criteria_scan(cfg: dict) -> int:
 
 
 def run_depol_threshold(cfg: dict) -> int:
-    p_c = iid_threshold(depolarizing, lo=float(cfg.get("p_lo", 0.01)),
-                        hi=float(cfg.get("p_hi", 0.5)),
-                        tol=float(cfg.get("tol", 1e-8)))
-    ps = np.linspace(float(cfg.get("p_min", 0.0)), float(cfg.get("p_max", 0.75)),
-                     int(cfg.get("num", 76)))
+    lo, hi = _number(cfg, "p_lo", default=0.01), _number(cfg, "p_hi", default=0.5)
+    tol = _number(cfg, "tol", default=1e-8)
+    ps = np.linspace(_number(cfg, "p_min", default=0.0),
+                     _number(cfg, "p_max", default=0.75),
+                     _number(cfg, "num", int, default=76))
+    p_c = iid_threshold(depolarizing, lo=lo, hi=hi, tol=tol)
     rows = []
     for p in ps:
         tau = depolarizing(float(p)).dilation_state(maximally_mixed(2))
@@ -186,10 +196,15 @@ def run_depol_threshold(cfg: dict) -> int:
 
 def run_decoupling(cfg: dict) -> int:
     ch = _channel_of(cfg)
+    try:
+        deltas = [float(d) for d in cfg.get("deltas", (0.5,))]
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"bad deltas: {exc}") from exc
     report = decoupling.decoupling_report(
-        ch, n_samples=int(cfg.get("samples", 200)), seed=int(_require(cfg, "seed")),
-        deltas=cfg.get("deltas", (0.5,)), eps=float(cfg.get("epsilon", 0.0)),
-        workers=int(cfg.get("threads", 1)))
+        ch, n_samples=_number(cfg, "samples", int, default=200),
+        seed=_number(cfg, "seed", int), deltas=deltas,
+        eps=_number(cfg, "epsilon", default=0.0),
+        workers=_number(cfg, "threads", int, default=1))
     if "output" in cfg:
         atomic_write_text(cfg["output"], report.to_json() + "\n")
     print(f"decoupling: mean={report.empirical_mean:.6f} "
@@ -200,8 +215,9 @@ def run_decoupling(cfg: dict) -> int:
 def run_converse(cfg: dict) -> int:
     ch = _channel_of(cfg)
     res = decoupling.converse_check(
-        ch, eps=float(_require(cfg, "epsilon")), delta=float(_require(cfg, "delta")),
-        n_samples=int(cfg.get("samples", 50)), seed=int(_require(cfg, "seed")))
+        ch, eps=_number(cfg, "epsilon"), delta=_number(cfg, "delta"),
+        n_samples=_number(cfg, "samples", int, default=50),
+        seed=_number(cfg, "seed", int))
     if "output" in cfg:
         obj = {"fires": res.fires, "h_max_joint": res.h_max_joint,
                "h_min_output": res.h_min_output, "lhs": res.lhs,
@@ -217,8 +233,8 @@ def run_converse(cfg: dict) -> int:
 def run_lightcone(cfg: dict) -> int:
     spec = _spec_of(cfg)
     scan = dynamics.lightcone_scan(spec, _times_of(cfg),
-                                   eps=float(cfg.get("epsilon", 0.05)),
-                                   slack=float(cfg.get("slack", 0.0)))
+                                   eps=_number(cfg, "epsilon", default=0.05),
+                                   slack=_number(cfg, "slack", default=0.0))
     rows = [[float(t), float(he), float(ds)]
             for t, he, ds in zip(scan.times, scan.h_max_env, scan.deficit_sys)]
     emit((["t", "h_max_env_bits", "deficit_sys_bits"], rows),
@@ -230,10 +246,10 @@ def run_lightcone(cfg: dict) -> int:
 
 def run_recurrence(cfg: dict) -> int:
     spec = _spec_of(cfg)
-    scan = dynamics.recurrence_scan(spec, t_max=float(_require(cfg, "t_max")),
-                                    step=float(_require(cfg, "step")),
-                                    tol=float(cfg.get("tol", 1e-6)),
-                                    eps=float(cfg.get("epsilon", 0.05)))
+    scan = dynamics.recurrence_scan(spec, t_max=_number(cfg, "t_max"),
+                                    step=_number(cfg, "step"),
+                                    tol=_number(cfg, "tol", default=1e-6),
+                                    eps=_number(cfg, "epsilon", default=0.05))
     if "output" in cfg:
         obj = {"t_rec": scan.t_rec, "distance_at_rec": scan.distance_at_rec,
                "min_distance": scan.min_distance,
@@ -250,8 +266,8 @@ def run_absence(cfg: dict) -> int:
     spec = _spec_of(cfg)
     phi = decode_complex_vector(_require(cfg, "phi"))
     report = assignment.verify_absence(
-        spec, phi, _times_of(cfg), n_env_samples=int(cfg.get("samples", 20)),
-        seed=int(_require(cfg, "seed")))
+        spec, phi, _times_of(cfg), n_env_samples=_number(cfg, "samples", int, default=20),
+        seed=_number(cfg, "seed", int))
     if "output" in cfg:
         atomic_write_text(cfg["output"], report.to_json() + "\n")
     print(f"absence: delta_phi={report.delta_phi:.6f} bound={report.bound:.6f} "

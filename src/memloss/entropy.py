@@ -5,10 +5,11 @@ purified distance epsilon; because of the subnormalization slack the smoothed
 min-entropy of a normalized state can exceed ``log2 d`` by up to
 ``log2 1/(1 - eps^2)``.
 
-Soundness directions: :func:`h_min_smooth` evaluates a feasible candidate
-family (eigenvalue caps, every split at once from prefix sums) and is thus
-a certified *lower* bound on the smoothed min-entropy; :func:`h_max_smooth`
-(tail removal) is a certified *upper* bound on the smoothed max-entropy.
+Soundness directions: :func:`h_min_smooth` returns the optimum over the
+states that commute with rho, in closed form (one quadratic root per number
+of capped eigenvalues, all from prefix sums), and is thus a certified
+*lower* bound on the smoothed min-entropy; :func:`h_max_smooth` (tail
+removal) is a certified *upper* bound on the smoothed max-entropy.
 Criterion consumers can use both conservatively.
 """
 
@@ -75,66 +76,44 @@ def _smooth_target(eps: float) -> float:
     return float(np.sqrt(1.0 - eps * eps))
 
 
-def _capped_fidelity(lam: np.ndarray):
-    """Best generalized fidelity to ``lam`` as a function of the ceiling m.
+def h_min_smooth(rho, eps: float) -> float:
+    """Smoothed min-entropy via the optimal commuting candidate, in closed form.
 
-    Candidates: the plain cap ``min(lambda_i, m)``, (k, t) = (0, 1); every
-    entry at m when ``d m <= 1``, (d, 1); else, for each split k, the top k
-    at m and the rest ``min(m, t lambda_i)``, ``t = (1 - k m) / T_k``.  With
-    ``P_k = sum_{i<k} sqrt(lambda_i)``, ``T_k = sum_{i>=k} lambda_i`` and
-    ``j = max(k, #{i: lambda_i >= m / t})`` a candidate has fidelity
-    ``sqrt(m) P_j + sqrt(t) T_j`` at trace ``j m + t T_j``, so every split
-    is evaluated at once from prefix sums made once per call.
-    """
-    d = lam.size
-    slack = max(0.0, 1.0 - float(lam.sum()))
-    keys = -lam  # ascending, for searchsorted
-    # extended-precision running sums: a float64 one drifts by up to k ulps
-    prefix_sqrt = np.cumsum(np.r_[0.0, np.sqrt(lam)], dtype=np.longdouble).astype(float)
-    suffix_sum = np.cumsum(np.r_[0.0, lam[::-1]], dtype=np.longdouble)[::-1].astype(float)
-
-    def best(m: float) -> float:
-        if d * m <= 1.0:
-            # budget cannot be exhausted: every entry sits at the cap
-            k, t = np.array([0, d]), np.ones(2)
-        else:
-            # splits up to the first with no budget or no weight left
-            rest = 1.0 - np.arange(d) * m
-            k = np.flatnonzero(np.logical_and.accumulate((rest > 0.0) & (suffix_sum[:d] > 0.0)))
-            k, t = np.append(0, k), np.append(1.0, rest[k] / suffix_sum[k])
-        j = np.maximum(k, np.searchsorted(keys, -m / t, side="right"))
-        tail = suffix_sum[j]
-        fid = (np.sqrt(m) * prefix_sqrt[j] + np.sqrt(t) * tail
-               + np.sqrt(slack * np.maximum(0.0, 1.0 - (j * m + t * tail))))
-        return float(fid.max())
-
-    return best
-
-
-def h_min_smooth(rho, eps: float, bisection_tol: float = 1e-14) -> float:
-    """Smoothed min-entropy via the optimal commuting candidate.
-
-    Bisects on the smallest spectral ceiling m for which some subnormalized
-    state, diagonal in rho's eigenbasis with all eigenvalues at most m, is
-    within purified distance eps of rho, and returns ``-log2 m``.  The
-    candidates cap the large eigenvalues and water-fill the freed weight over
-    the rest; each is feasible, and together they exhaust the commuting ones.
+    Returns ``-log2 m`` for the smallest spectral ceiling m at which some
+    subnormalized state, diagonal in rho's eigenbasis with all eigenvalues
+    at most m, is within purified distance eps of rho.  By the KKT
+    conditions the best such state caps the top j eigenvalues at m and
+    scales the rest, ``sigma_i = min(m, c lambda_i)`` with
+    ``c = (1 - j m) / W_j``, ``W_j = T_j + s``, ``T_j = sum_{i>=j} lambda_i``
+    and slack ``s = 1 - tr rho``; it is feasible for
+    ``lambda_j / (W_j + j lambda_j) <= m <= 1/j``.  With
+    ``P_j = sum_{i<j} sqrt(lambda_i)`` its generalized fidelity is
+    ``F_j(m) = sqrt(m) P_j + sqrt((1 - j m) W_j)``, so the smallest ceiling
+    of piece j is the smaller root in ``u = sqrt(m)`` of
+    ``(P_j^2 + j W_j) u^2 - 2 F P_j u + F^2 - W_j = 0`` clamped to the
+    piece's feasibility floor; the pieces exhaust the commuting candidates.
     """
     lam = spectrum_of(rho)
     target = _smooth_target(eps)
     if eps == 0.0:
         return float(-np.log2(lam[0]))
-    fidelity = _capped_fidelity(lam)
-    lo, hi = 0.0, float(lam[0])
-    for _ in range(200):
-        if hi - lo <= bisection_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if fidelity(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return float(-np.log2(hi))
+    slack = max(0.0, 1.0 - float(lam.sum()))
+    j = np.arange(1, lam.size + 1)  # piece j = 0 is sigma = lam, ceiling lam[0]
+    # extended-precision running sums: a float64 one drifts by up to j ulps
+    p = np.cumsum(np.sqrt(lam), dtype=np.longdouble).astype(float)
+    w = np.cumsum(lam[:0:-1], dtype=np.longdouble)[::-1].astype(float)
+    w = np.append(w, 0.0) + slack
+    nxt = np.append(lam[1:], 0.0)  # lambda_j, the largest uncapped eigenvalue
+    floor = np.divide(nxt, w + j * nxt, out=np.zeros(lam.size), where=nxt > 0.0)
+    # quarter discriminant and the smaller root, in the form that keeps its
+    # digits at the all-at-cap piece (W_j = s, a near-tangent root)
+    disc = w * (p * p + j * (w - target * target))
+    root = (target * target - w) / (target * p + np.sqrt(np.maximum(disc, 0.0)))
+    # F_j rises at its floor (slope P_j - j sqrt(lambda_j) >= 0 in u), so a
+    # root below the floor means the floor itself reaches the target
+    m = np.maximum(np.square(np.maximum(root, 0.0)), floor)
+    ok = (disc >= 0.0) & (j * m <= 1.0)
+    return float(-np.log2(min(float(lam[0]), float(m[ok].min(initial=np.inf)))))
 
 
 def h_max_smooth(rho, eps: float) -> float:

@@ -89,6 +89,31 @@ class TestConfigHandling:
         ("decoupling", {"channel": {"builtin": "depolarizing", "p": None}}),
         ("decoupling", {"channel": {"builtin": "identity", "d": [2]}}),
         ("decoupling", {"channel": "kraus.json"}),
+        # scalar fields read by the runners
+        ("criteria-scan", {"epsilon": None}),
+        ("criteria-scan", {"slack": [0.0]}),
+        ("lightcone", {"epsilon": {}}),
+        ("lightcone", {"slack": None}),
+        ("decoupling", {"seed": [1]}),
+        ("decoupling", {"samples": None}),
+        ("decoupling", {"epsilon": [0.1]}),
+        ("decoupling", {"threads": None}),
+        ("decoupling", {"deltas": 0.5}),
+        ("converse", {"epsilon": None}),
+        ("converse", {"delta": [0.01]}),
+        ("converse", {"seed": None}),
+        ("converse", {"samples": {}}),
+        ("recurrence", {"t_max": None}),
+        ("recurrence", {"step": [0.1]}),
+        ("recurrence", {"tol": None}),
+        ("absence", {"seed": None}),
+        ("absence", {"samples": [1]}),
+        ("depol-threshold", {"p_lo": None}),
+        ("depol-threshold", {"p_hi": [0.5]}),
+        ("depol-threshold", {"tol": None}),
+        ("depol-threshold", {"p_min": None}),
+        ("depol-threshold", {"p_max": {}}),
+        ("depol-threshold", {"num": None}),
     ])
     def test_wrong_field_type_exits_2(self, tmp_path, capsys, monkeypatch,
                                       command, fields):
@@ -97,11 +122,15 @@ class TestConfigHandling:
         (tmp_path / "kraus.json").write_text("[5]")
         out = tmp_path / "out"
         cfg = {"hamiltonian": product_spec_dict(), "times": [0.0],
+               "channel": {"builtin": "identity", "d": 2}, "phi": [[1.0, 0.0], [0.0, 0.0]],
+               "epsilon": 0.05, "delta": 0.01, "t_max": 1.0, "step": 0.5,
                "seed": 0, "samples": 2, "output": str(out)}
         cfg.update(fields)
         path = write_cfg(tmp_path / "c.json", **cfg)
         assert main([command, path]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the error names the bad field, so no earlier parser stopped the run
+        assert "error:" in err and next(iter(fields)) in err
         assert not out.exists()
 
 

@@ -57,8 +57,11 @@ def cq_state(blocks):
 
 
 # ---------------------------------------------------------------------------
-# Reference: h_min_smooth as a Python loop over the split k at every
-# bisection step, kept verbatim from before the splits were evaluated at once.
+# Reference: h_min_smooth as a bisection on the ceiling with a Python loop
+# over the split k at every step, kept verbatim from before the closed form.
+# The bisection scores the plain cap and the budget-exhausting water-fills
+# only: the exact optimum when tr lam >= 1, but it misses the candidates that
+# leave weight to the slack of a subnormalized spectrum.
 # ---------------------------------------------------------------------------
 
 
@@ -142,19 +145,23 @@ def spectra(draw):
 
 
 def candidates(lam, m):
-    """Every candidate spectrum that h_min_smooth searches at ceiling m,
-    built explicitly: the plain cap, every entry at the cap when d m <= 1,
-    else the top k at the cap and the rest water-filled to a unit trace."""
-    d = lam.size
-    out = [np.minimum(lam, m)]
-    if d * m <= 1.0:
-        return out + [np.full(d, m)]
-    for k in range(d):
-        rest, tail = 1.0 - k * m, lam[k:].sum()
-        if rest <= 0.0 or tail <= 0.0:
+    """Every candidate spectrum that h_min_smooth scores at ceiling m, built
+    explicitly: for each j with j m <= 1, the top j entries at the cap and
+    the rest ``min(m, c lambda_i)`` with ``c = (1 - j m) / (T_j + s)``,
+    which leaves the weight ``c s`` to the slack ``s = 1 - tr lam``."""
+    slack = max(0.0, 1.0 - lam.sum())
+    out = []
+    for j in range(lam.size + 1):
+        rest, weight = 1.0 - j * m, lam[j:].sum() + slack
+        if rest < 0.0:
             break
-        out.append(np.concatenate((np.full(k, m), np.minimum(m, rest / tail * lam[k:]))))
+        c = rest / weight if weight > 0.0 else 0.0
+        out.append(np.concatenate((np.full(j, m), np.minimum(m, c * lam[j:]))))
     return out
+
+
+def best_candidate(lam, m):
+    return max(candidates(lam, m), key=lambda c: generalized_fidelity(lam, c))
 
 
 def generalized_fidelity(lam, sigma):
@@ -249,9 +256,10 @@ class TestSmoothing:
         rng = np.random.default_rng(17)
         for i in range(4):
             lam = np.sort(rng.dirichlet(np.ones(2 + i % 2)))[::-1]
-            a = h_min_smooth(lam, eps)
-            b = h_min_smooth_oracle(lam, eps)
-            assert abs(a - b) < 1e-4
+            for trace in (1.0, 0.9):
+                a = h_min_smooth(trace * lam, eps)
+                b = h_min_smooth_oracle(trace * lam, eps)
+                assert abs(a - b) < 1e-4
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
     def test_max_oracle_agreement(self, eps):
@@ -264,13 +272,43 @@ class TestSmoothing:
 
 
 class TestSmoothingAgainstLoop:
-    """h_min_smooth against the per-split loop it replaced."""
+    """h_min_smooth against the bisection it replaced."""
 
     @PROPERTY
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.5])
     @given(lam=spectra())
     def test_matches_loop(self, eps, lam):
-        assert abs(h_min_smooth(lam, eps) - h_min_smooth_loop(lam, eps)) < 1e-11
+        new, loop = h_min_smooth(lam, eps), h_min_smooth_loop(lam, eps)
+        if lam.sum() < 0.95:
+            # drawn at trace 0.9: the loop's candidates leave nothing to the
+            # slack, so it is sound but loose
+            assert new >= loop - 1e-12
+            return
+        # drawn at trace 1, whose float sum can round to 1 - s with s a few
+        # ulps.  Slack adds at most sqrt(s) to any candidate's fidelity, so
+        # the optimum lies between the loop's value (a subset of the
+        # candidates) and the zero-slack optimum at a target lowered by
+        # sqrt(s), where the loop is exact; at s = 0 the two bounds meet
+        assert new >= loop - 1e-11
+        slack = max(0.0, 1.0 - lam.sum())
+        lowered = np.sqrt(1.0 - eps * eps) - np.sqrt(slack)
+        eps_lowered = eps if slack == 0.0 else np.sqrt(1.0 - lowered * lowered)
+        assert new <= h_min_smooth_loop(lam, eps_lowered) + 1e-11
+
+    def test_rounding_slack_is_used_exactly(self):
+        # a normalized spectrum whose float sum is 1 - 1.1e-16, with a zero
+        # tail: its optimum caps the 100 nonzero eigenvalues at m and leaves
+        # 1 - 100 m to the slack, while the loop, as d m <= 1 here, caps all
+        # 130 entries and leaves only 1 - 130 m, about 1.4e-8 bits worse
+        lam = np.sort(np.random.default_rng(11).dirichlet(np.full(130, 5.0)))[::-1]
+        lam[100:] = 0.0
+        lam = lam / lam.sum()
+        assert 0.0 < 1.0 - lam.sum() < 1e-15
+        m, m_loop = 2.0 ** -h_min_smooth(lam, 0.5), 2.0 ** -h_min_smooth_loop(lam, 0.5)
+        assert 130 * m_loop <= 1.0 and m_loop > m * (1.0 + 1e-9)
+        target = np.sqrt(0.75)
+        assert generalized_fidelity(lam, best_candidate(lam, m)) >= target - 1e-12
+        assert generalized_fidelity(lam, best_candidate(lam, m * (1.0 - 1e-9))) < target
 
     @pytest.mark.parametrize("seed, p_mid, n", [(5, 0.70, 5), (6, 0.50, 6)])
     def test_matches_loop_on_iid_memory_spectra(self, seed, p_mid, n):
@@ -286,11 +324,33 @@ class TestSmoothingAgainstLoop:
         # the best candidate at the returned ceiling is a feasible smoothing
         # of lam within purified distance eps
         m = 2.0 ** -h_min_smooth(lam, eps)
-        sigma = max(candidates(lam, m), key=lambda c: generalized_fidelity(lam, c))
+        sigma = best_candidate(lam, m)
         assert sigma.max() <= m * (1.0 + 1e-12)
         # water-filling spends the unit budget exactly, so up to rounding
         assert sigma.sum() <= 1.0 + 1e-12
         assert generalized_fidelity(lam, sigma) >= np.sqrt(1.0 - eps * eps) - 1e-12
+
+    @PROPERTY
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.5])
+    @given(lam=spectra())
+    def test_result_is_tight(self, eps, lam):
+        # no candidate reaches the target at a ceiling 1e-9 below the result
+        m = 2.0 ** -h_min_smooth(lam, eps) * (1.0 - 1e-9)
+        assert generalized_fidelity(lam, best_candidate(lam, m)) < np.sqrt(1.0 - eps * eps)
+
+    @pytest.mark.parametrize("seed, d", [(349, 199), (1221, 79), (2257, 202)])
+    def test_subnormalized_ceiling_is_certified_and_tight(self, seed, d):
+        # trace-0.9 spectra on which the bisection over a candidate family
+        # that jumps at d m = 1 returned an uncertified ceiling
+        rng = np.random.default_rng(seed)
+        assert int(rng.integers(2, 257)) == d
+        lam = np.sort(rng.dirichlet(np.full(d, 0.5)))[::-1]
+        lam = 0.9 * lam / lam.sum()
+        m = 2.0 ** -h_min_smooth(lam, 0.5)
+        target = np.sqrt(0.75)
+        assert generalized_fidelity(lam, best_candidate(lam, m)) >= target - 1e-12
+        # and no smaller ceiling is: the closed form is the optimum
+        assert generalized_fidelity(lam, best_candidate(lam, m * (1.0 - 1e-9))) < target
 
 
 class TestConditionalSdp:
