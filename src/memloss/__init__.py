@@ -62,7 +62,6 @@ from .linalg import (
     Evolver,
     PureState,
     SubsystemLayout,
-    evolve,
     fidelity,
     haar_state,
     haar_unitary,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import RLock
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .linalg import (
     PureState,
     SubsystemLayout,
     kron,
-    max_entangled,
 )
 
 KRAUS_TOL = 1e-9
@@ -22,11 +20,10 @@ KRAUS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Stinespring:
-    """Dilation data: environment state, joint unitary on S (x) E, traced factor."""
+    """Dilation data: environment state and joint unitary on S (x) E."""
 
     env_state: PureState
     joint_unitary: np.ndarray
-    traced_factor: str = "E"
 
 
 @dataclass(frozen=True)
@@ -38,11 +35,10 @@ class ChoiState:
 
 
 class Channel:
-    """CPTP map stored as a Kraus list and/or a Stinespring dilation.
+    """CPTP map stored as a Kraus list, with its Stinespring dilation if given.
 
-    Channels are immutable after construction; derived representations
-    (Kraus from Stinespring, the Choi state) are computed lazily and cached
-    behind a lock so concurrent readers see a single initialization.
+    Channels are immutable values: a dilation's Kraus list is derived once,
+    at construction.
     """
 
     def __init__(self, input_dim: int, output_dim: int, *,
@@ -55,23 +51,19 @@ class Channel:
         self.output_dim = int(output_dim)
         self.name = name
         self._analytic = analytic
-        self._kraus = None
-        self._choi = None
-        # reentrant: building the Choi state reads the Kraus list under the
-        # same lock
-        self._lock = RLock()
-        if kraus is not None:
-            ks = [np.asarray(k, dtype=complex) for k in kraus]
-            total = sum(k.conj().T @ k for k in ks)
-            if np.abs(total - np.eye(self.input_dim)).max(initial=0.0) > KRAUS_TOL:
-                raise ValueError("Kraus operators do not satisfy completeness")
-            self._kraus = ks
         self.stinespring = stinespring
         if stinespring is not None:
             u = np.asarray(stinespring.joint_unitary, dtype=complex)
             d = u.shape[0]
             if np.abs(u @ u.conj().T - np.eye(d)).max(initial=0.0) > KRAUS_TOL:
                 raise ValueError("Stinespring joint operator is not unitary")
+            if kraus is None:
+                kraus = self._kraus_from_stinespring()
+        ks = [np.asarray(k, dtype=complex) for k in kraus]
+        total = sum(k.conj().T @ k for k in ks)
+        if np.abs(total - np.eye(self.input_dim)).max(initial=0.0) > KRAUS_TOL:
+            raise ValueError("Kraus operators do not satisfy completeness")
+        self.kraus = ks
 
     # -- constructors -------------------------------------------------------
 
@@ -99,14 +91,6 @@ class Channel:
 
     # -- representations ----------------------------------------------------
 
-    @property
-    def kraus(self) -> list[np.ndarray]:
-        if self._kraus is None:
-            with self._lock:
-                if self._kraus is None:
-                    self._kraus = self._kraus_from_stinespring()
-        return self._kraus
-
     def _kraus_from_stinespring(self) -> list[np.ndarray]:
         dil = self.stinespring
         d_e = dil.env_state.dim
@@ -130,10 +114,6 @@ class Channel:
             out += k @ rho @ k.conj().T
         return out
 
-    def apply_stinespring(self, rho) -> np.ndarray:
-        """Channel action through the dilation; agrees with :meth:`apply`."""
-        return self.dilation_state(rho).marginal("S").data
-
     def dilation_state(self, rho_s) -> DensityMatrix:
         """Joint S (x) E state after the dilation unitary (no partial trace)."""
         if self.stinespring is None:
@@ -150,23 +130,16 @@ class Channel:
     # -- Choi ---------------------------------------------------------------
 
     def choi(self) -> ChoiState:
-        if self._choi is None:
-            with self._lock:
-                if self._choi is None:
-                    self._choi = self._build_choi()
-        return self._choi
+        """``J = (1/d_A) sum_k vec(K_k) vec(K_k)^dag`` on [A', B].
 
-    def _build_choi(self) -> ChoiState:
-        d = self.input_dim
-        psi = max_entangled(d, names=("A'", "A"))
-        full = psi.density().data
-        layout = SubsystemLayout.of(("A'", d), ("B", self.output_dim))
-        out = np.zeros((d * self.output_dim,) * 2, dtype=complex)
-        eye = np.eye(d, dtype=complex)
-        for k in self.kraus:
-            op = kron(eye, k)
-            out += op @ full @ op.conj().T
-        return ChoiState(state=DensityMatrix(out, layout), source=self.name)
+        ``vec(K)`` stacks ``K|i>`` over the input basis, so J equals
+        ``sum_k (I (x) K_k) Phi (I (x) K_k)^dag`` with Phi the maximally
+        entangled state.
+        """
+        vecs = np.array([k.T.reshape(-1) for k in self.kraus]) / np.sqrt(self.input_dim)
+        layout = SubsystemLayout.of(("A'", self.input_dim), ("B", self.output_dim))
+        return ChoiState(state=DensityMatrix(vecs.T @ vecs.conj(), layout),
+                         source=self.name)
 
     def choi_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues of the Choi state and of its B marginal.

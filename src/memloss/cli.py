@@ -75,10 +75,13 @@ def load_config(path: str | None, args) -> dict:
             raise ConfigError("config must be a JSON object")
         if cfg.get("schema") != SCHEMA_VERSION:
             raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
-    for key in ("seed", "output", "epsilon", "delta", "threads", "format"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in ("seed", "output", "epsilon", "delta", "format"):
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    # checked before any work: a runner writes its output only at the end
+    if not isinstance(cfg.get("output", ""), str):
+        raise ConfigError(f"bad output: expected a file path, got {cfg['output']!r}")
     return cfg
 
 
@@ -203,8 +206,7 @@ def run_decoupling(cfg: dict) -> int:
     report = decoupling.decoupling_report(
         ch, n_samples=_number(cfg, "samples", int, default=200),
         seed=_number(cfg, "seed", int), deltas=deltas,
-        eps=_number(cfg, "epsilon", default=0.0),
-        workers=_number(cfg, "threads", int, default=1))
+        eps=_number(cfg, "epsilon", default=0.0))
     if "output" in cfg:
         atomic_write_text(cfg["output"], report.to_json() + "\n")
     print(f"decoupling: mean={report.empirical_mean:.6f} "
@@ -264,7 +266,10 @@ def run_recurrence(cfg: dict) -> int:
 
 def run_absence(cfg: dict) -> int:
     spec = _spec_of(cfg)
-    phi = decode_complex_vector(_require(cfg, "phi"))
+    try:
+        phi = decode_complex_vector(_require(cfg, "phi"))
+    except _PARSE_ERRORS as exc:
+        raise ConfigError(f"bad phi: {exc}") from exc
     report = assignment.verify_absence(
         spec, phi, _times_of(cfg), n_env_samples=_number(cfg, "samples", int, default=20),
         seed=_number(cfg, "seed", int))
@@ -299,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None)
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 

@@ -13,7 +13,6 @@ Checks three things about a channel T with Choi state tau on [A', B]:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,35 +23,37 @@ from .linalg import haar_state, maximally_mixed, trace_distance
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # one independent stream per sample index, so results do not depend on
-    # scheduling order or worker count
+    # one independent stream per sample index, so a sample does not depend
+    # on which other samples are drawn
     return np.random.default_rng([seed, index])
 
 
-def avg_output_distance(ch: Channel, n_samples: int, seed: int,
-                        workers: int = 1):
+def _haar_inputs(d: int, seed: int, indices) -> list[np.ndarray]:
+    """Amplitudes of the Haar-random pure input drawn for each index."""
+    return [haar_state(d, _sample_rng(seed, i)).amplitudes for i in indices]
+
+
+def _outputs(ch: Channel, vecs):
+    """``T(|v><v|)`` for each input vector, lazily.
+
+    The inputs are normalized by construction, so no DensityMatrix check.
+    """
+    return (ch.apply(np.outer(v, v.conj())) for v in vecs)
+
+
+def avg_output_distance(ch: Channel, n_samples: int, seed: int):
     """Haar-average of ``||T(phi) - T(pi)||_1`` over pure inputs.
 
-    Returns ``(mean, std, samples)``; deterministic for a given seed
-    regardless of ``workers``.
+    Returns ``(mean, std, samples)``; deterministic for a given seed.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     d = ch.input_dim
     ref = ch.apply(maximally_mixed(d))
-
-    def one(i: int) -> float:
-        # the input is normalized by construction: no DensityMatrix check
-        v = haar_state(d, _sample_rng(seed, i)).amplitudes
-        return trace_distance(ch.apply(np.outer(v, v.conj())), ref)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = np.fromiter(pool.map(one, range(n_samples)), dtype=float,
-                                  count=n_samples)
-    else:
-        samples = np.fromiter(map(one, range(n_samples)), dtype=float,
-                              count=n_samples)
+    samples = np.fromiter(
+        (trace_distance(out, ref)
+         for out in _outputs(ch, _haar_inputs(d, seed, range(n_samples)))),
+        dtype=float, count=n_samples)
     return float(samples.mean()), float(samples.std(ddof=1) if n_samples > 1 else 0.0), samples
 
 
@@ -163,29 +164,24 @@ def converse_check(ch: Channel, eps: float, delta: float,
 def _trial_min_average(ch: Channel, n_samples: int, seed: int,
                        trial_random_inputs: int) -> float:
     d_in, d_out = ch.input_dim, ch.output_dim
+    trial_vecs = _haar_inputs(d_in, seed, range(10_000, 10_000 + trial_random_inputs))
+    vecs = _haar_inputs(d_in, seed, range(n_samples))
     if ch._analytic == "identity":
         # outputs are the pure inputs themselves; distances in closed form
-        trial_vecs = [haar_state(d_in, _sample_rng(seed, 10_000 + j)).amplitudes
-                      for j in range(trial_random_inputs)]
         averages = []
         # flat trial state (also equals the average output): constant distance
         averages.append(2.0 * (1.0 - 1.0 / d_in))
         for w in trial_vecs:
             dists = []
-            for i in range(n_samples):
-                phi = haar_state(d_in, _sample_rng(seed, i)).amplitudes
+            for phi in vecs:
                 ov = abs(np.vdot(w, phi)) ** 2
                 dists.append(2.0 * np.sqrt(max(0.0, 1.0 - ov)))
             averages.append(float(np.mean(dists)))
         return float(min(averages))
 
-    trials = [ch.apply(maximally_mixed(d_in)),
-              maximally_mixed(d_out).data]
-    for j in range(trial_random_inputs):
-        phi = haar_state(d_in, _sample_rng(seed, 10_000 + j))
-        trials.append(ch.apply(phi.density()))
-    outputs = [ch.apply(haar_state(d_in, _sample_rng(seed, i)).density())
-               for i in range(n_samples)]
+    trials = [ch.apply(maximally_mixed(d_in)), maximally_mixed(d_out).data]
+    trials += _outputs(ch, trial_vecs)
+    outputs = list(_outputs(ch, vecs))
     averages = [float(np.mean([trace_distance(out, w) for out in outputs]))
                 for w in trials]
     return float(min(averages))
@@ -199,9 +195,8 @@ def convexity_gap(ch: Channel, omega, n_samples: int, seed: int):
     """
     d = ch.input_dim
     lhs = trace_distance(ch.apply(maximally_mixed(d)), omega)
-    dists = [trace_distance(ch.apply(haar_state(d, _sample_rng(seed, i)).density()),
-                            omega)
-             for i in range(n_samples)]
+    dists = [trace_distance(out, omega)
+             for out in _outputs(ch, _haar_inputs(d, seed, range(n_samples)))]
     return lhs, float(np.mean(dists))
 
 
@@ -237,11 +232,10 @@ class DecouplingReport:
 
 
 def decoupling_report(ch: Channel, n_samples: int = 200, seed: int = 0,
-                      deltas=(0.5,), eps: float = 0.0,
-                      workers: int = 1) -> DecouplingReport:
+                      deltas=(0.5,), eps: float = 0.0) -> DecouplingReport:
     """End-to-end report: empirical average, entropic bound, tail checks."""
     bounds = decoupling_bound(ch, eps=eps)
-    mean, std, samples = avg_output_distance(ch, n_samples, seed, workers=workers)
+    mean, std, samples = avg_output_distance(ch, n_samples, seed)
     tail = {float(d): concentration_check(samples, bounds.sdp_bound, float(d),
                                           ch.input_dim)
             for d in deltas}

@@ -398,14 +398,19 @@ def cq_ansatz_optimum(n: int, eps: float) -> float:
 
     Maximizes ``-log2 sum_i mu_i`` over ``mu >= 0`` subject to the purified
     distance constraint ``(1/sqrt(n)) sum_i sqrt(mu_i) >= sqrt(1 - eps^2)``;
-    independent check of the closed form in :func:`h_min_cond_cq`.
+    independent check of the closed form in :func:`h_min_cond_cq`.  It works
+    in ``u = sqrt(mu)``, where the objective ``sum u^2`` is smooth and the
+    constraint linear, so the line search never meets the infinite slope of
+    ``sqrt`` at zero.
     """
     target = _smooth_target(eps)
-    x0 = np.full(n, 0.99)  # strictly feasible start
+    root_n = np.sqrt(n)
     cons = [{"type": "ineq",
-             "fun": lambda mu: np.sqrt(np.clip(mu, 0, None)).sum() / np.sqrt(n) - target}]
-    res = optimize.minimize(lambda mu: mu.sum(), x0, method="SLSQP",
-                            bounds=[(0.0, 1.0)] * n, constraints=cons,
+             "fun": lambda u: u.sum() / root_n - target,
+             "jac": lambda u: np.full(n, 1.0 / root_n)}]
+    res = optimize.minimize(lambda u: u @ u, np.ones(n), jac=lambda u: 2.0 * u,
+                            method="SLSQP", bounds=[(0.0, 1.0)] * n,
+                            constraints=cons,
                             options={"ftol": 1e-14, "maxiter": 500})
     if not res.success:
         raise RuntimeError(f"ansatz optimizer failed: {res.message}")

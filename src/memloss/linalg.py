@@ -24,7 +24,6 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
-ISOMETRY_TOL = 1e-9
 
 # Pauli matrices, indexed 0..3 as (I, X, Y, Z).
 PAULI = np.array(
@@ -90,9 +89,6 @@ class SubsystemLayout:
         if unknown:
             raise KeyError(f"unknown factors {sorted(unknown)}")
         return SubsystemLayout(tuple(f for f in self.factors if f[0] in keep))
-
-    def __add__(self, other: "SubsystemLayout") -> "SubsystemLayout":
-        return SubsystemLayout(self.factors + other.factors)
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -255,11 +251,6 @@ class Evolver:
         return v @ (phases[:, None] * (v.conj().T @ x0))
 
 
-def evolve(h, t: float) -> np.ndarray:
-    """``exp(-i h t)`` via Hermitian eigendecomposition."""
-    return Evolver(h).unitary(t)
-
-
 def trace_norm(a) -> float:
     """Unnormalized trace norm (sum of singular values)."""
     return float(np.linalg.svd(_as_matrix(a), compute_uv=False).sum())
@@ -354,22 +345,6 @@ def max_entangled(d: int, names: tuple[str, str] = ("A", "B")) -> PureState:
         raise ValueError("dimension must be >= 1")
     v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return PureState(v, SubsystemLayout.of((names[0], d), (names[1], d)))
-
-
-def embed_subspace(rho, isometry, layout: SubsystemLayout | None = None):
-    """Push a state on a subspace into the full space via an isometry.
-
-    ``isometry`` has orthonormal columns (shape ``d x d_sub``).  Returns a
-    plain array unless ``layout`` is given.
-    """
-    v = np.asarray(isometry, dtype=complex)
-    check = v.conj().T @ v
-    if np.abs(check - np.eye(v.shape[1])).max(initial=0.0) > ISOMETRY_TOL:
-        raise ValueError("embedding is not an isometry")
-    out = v @ _as_matrix(rho) @ v.conj().T
-    if layout is None:
-        return out
-    return DensityMatrix(out, layout)
 
 
 def maximally_mixed(d: int, name: str = "A") -> DensityMatrix:

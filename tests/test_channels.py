@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memloss.channels import Channel, depolarizing, iid_threshold
 from memloss.entropy import shannon
@@ -8,6 +10,8 @@ from memloss.linalg import (
     PureState,
     haar_state,
     haar_unitary,
+    kron,
+    max_entangled,
     maximally_mixed,
     random_density,
 )
@@ -17,6 +21,30 @@ def random_dilation(d_s, d_e, seed):
     env = haar_state(d_e, seed)
     u = haar_unitary(d_s * d_e, seed + 1)
     return Channel.from_stinespring(env, u, name=f"rand({d_s},{d_e},{seed})")
+
+
+def random_isometry_channel(d_in, d_out, rank, seed):
+    """Kraus operators ``K_k = (I (x) <k|) V`` of a random isometry
+    ``V: C^d_in -> C^d_out (x) C^rank``; rank is raised until V fits."""
+    rank = max(rank, -(-d_in // d_out))
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((d_out * rank, d_in))
+         + 1j * rng.standard_normal((d_out * rank, d_in)))
+    v, _ = np.linalg.qr(g)
+    v3 = v.reshape(d_out, rank, d_in)
+    return Channel.from_kraus([v3[:, k, :] for k in range(rank)])
+
+
+def choi_by_conjugation(ch):
+    """``sum_k (I (x) K_k) Phi (I (x) K_k)^dag``, one dense product per
+    Kraus operator: the reference for :meth:`Channel.choi`."""
+    full = max_entangled(ch.input_dim).density().data
+    eye = np.eye(ch.input_dim)
+    out = np.zeros((ch.input_dim * ch.output_dim,) * 2, dtype=complex)
+    for k in ch.kraus:
+        op = kron(eye, k)
+        out += op @ full @ op.conj().T
+    return out
 
 
 class TestConstruction:
@@ -38,13 +66,26 @@ class TestConstruction:
         total = sum(k.conj().T @ k for k in ch.kraus)
         assert np.allclose(total, np.eye(3), atol=1e-10)
 
+    def test_dilation_kraus_match_contraction(self):
+        # K_i = (I (x) <i|) U (I (x) |psi>), contracted independently
+        d_s, d_e = 3, 4
+        ch = random_dilation(d_s, d_e, 7)
+        u = ch.stinespring.joint_unitary.reshape(d_s, d_e, d_s, d_e)
+        psi = ch.stinespring.env_state.amplitudes
+        want = np.einsum("aibe,e->iab", u, psi)
+        assert np.allclose(np.array(ch.kraus), want, atol=1e-14)
+        rho = random_density(d_s, 8).data
+        ref = sum(k @ rho @ k.conj().T for k in want)
+        assert np.allclose(ch.apply(rho), ref, atol=1e-14)
+
 
 class TestActions:
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_depolarizing_apply_matches_dilation(self, p):
         ch = depolarizing(p)
         rho = random_density(2, 6)
-        assert np.allclose(ch.apply(rho), ch.apply_stinespring(rho), atol=1e-12)
+        assert np.allclose(ch.apply(rho), ch.dilation_state(rho).marginal("S").data,
+                           atol=1e-12)
 
     def test_depolarizing_output(self):
         p = 0.4
@@ -57,8 +98,8 @@ class TestActions:
         for seed in range(5):
             ch = random_dilation(2, 3, 10 + seed)
             rho = random_density(2, seed)
-            assert np.allclose(ch.apply(rho), ch.apply_stinespring(rho),
-                               atol=1e-12)
+            assert np.allclose(ch.apply(rho),
+                               ch.dilation_state(rho).marginal("S").data, atol=1e-12)
 
     def test_input_dim_checked(self):
         with pytest.raises(ValueError):
@@ -99,6 +140,19 @@ class TestChoi:
         jb, mb = slow.choi_spectra()
         assert abs(ja[0] - jb[0]) < 1e-10
         assert np.allclose(np.sort(ma), np.sort(mb), atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_matches_conjugation(self, d_in, d_out, rank, seed):
+        ch = random_isometry_channel(d_in, d_out, rank, seed)
+        choi = ch.choi().state
+        assert choi.layout.factors == (("A'", d_in), ("B", d_out))
+        assert np.abs(choi.data - choi_by_conjugation(ch)).max() < 1e-14
+
+    def test_dilation_matches_conjugation(self):
+        ch = random_dilation(3, 5, 30)
+        assert np.abs(ch.choi().state.data - choi_by_conjugation(ch)).max() < 1e-14
 
     def test_fully_depolarizing_choi(self):
         ch = Channel.from_kraus([0.5 * s for s in PAULI])

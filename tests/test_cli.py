@@ -97,7 +97,7 @@ class TestConfigHandling:
         ("decoupling", {"seed": [1]}),
         ("decoupling", {"samples": None}),
         ("decoupling", {"epsilon": [0.1]}),
-        ("decoupling", {"threads": None}),
+        ("decoupling", {"output": 5}),
         ("decoupling", {"deltas": 0.5}),
         ("converse", {"epsilon": None}),
         ("converse", {"delta": [0.01]}),
@@ -114,6 +114,10 @@ class TestConfigHandling:
         ("depol-threshold", {"p_min": None}),
         ("depol-threshold", {"p_max": {}}),
         ("depol-threshold", {"num": None}),
+        ("absence", {"phi": 5}),
+        ("absence", {"phi": [1, 0]}),
+        ("criteria-scan", {"output": None}),
+        ("criteria-scan", {"output": 5}),
     ])
     def test_wrong_field_type_exits_2(self, tmp_path, capsys, monkeypatch,
                                       command, fields):
@@ -218,7 +222,7 @@ class TestChannelCommands:
             raise AssertionError("ran before the dimension check")
 
         monkeypatch.setattr(decoupling, "avg_output_distance", forbidden)
-        monkeypatch.setattr(Channel, "_build_choi", forbidden)
+        monkeypatch.setattr(Channel, "choi", forbidden)
         out = tmp_path / "dec.json"
         cfg = write_cfg(tmp_path / "c.json",
                         channel={"builtin": "identity", "d": 17},

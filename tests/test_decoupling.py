@@ -45,11 +45,11 @@ class TestAverageDistance:
         assert abs(mean - 0.6) < 1e-12
         assert std < 1e-12
 
-    def test_worker_count_does_not_change_samples(self):
+    def test_same_seed_same_samples(self):
         ch = depolarizing(0.17)
-        _, _, serial = avg_output_distance(ch, 16, 5, workers=1)
-        _, _, parallel = avg_output_distance(ch, 16, 5, workers=4)
-        assert np.array_equal(serial, parallel)
+        _, _, first = avg_output_distance(ch, 16, 5)
+        _, _, again = avg_output_distance(ch, 16, 5)
+        assert np.array_equal(first, again)
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):
@@ -57,13 +57,25 @@ class TestAverageDistance:
 
     def test_samples_match_density_matrix_path(self, monkeypatch):
         # the unvalidated outer product of each sampled input gives the same
-        # samples, bit for bit, as its validated DensityMatrix
-        d, n, seed = 8, 12, 3
+        # results, bit for bit, as its validated DensityMatrix, in all three
+        # Monte-Carlo consumers
+        d, n, trials, seed = 8, 12, 3, 3
         ch = Channel.from_kraus([np.sqrt(0.6) * haar_unitary(d, 1),
                                  np.sqrt(0.4) * haar_unitary(d, 2)])
+        omega = random_density(d, 4).data
+
+        def outputs(indices):
+            return [ch.apply(haar_state(d, decoupling._sample_rng(seed, i)).density())
+                    for i in indices]
+
+        outs = outputs(range(n))
         ref = ch.apply(maximally_mixed(d))
-        want = [trace_distance(ch.apply(haar_state(d, decoupling._sample_rng(seed, i))
-                                        .density()), ref) for i in range(n)]
+        want = [trace_distance(out, ref) for out in outs]
+        want_gap = float(np.mean([trace_distance(out, omega) for out in outs]))
+        candidates = [ref, maximally_mixed(d).data] + outputs(range(10_000, 10_000 + trials))
+        want_trial = min(float(np.mean([trace_distance(out, w) for out in outs]))
+                         for w in candidates)
+
         validations = []
         post_init = DensityMatrix.__post_init__
         monkeypatch.setattr(DensityMatrix, "__post_init__",
@@ -71,6 +83,18 @@ class TestAverageDistance:
         _, _, samples = avg_output_distance(ch, n, seed)
         assert np.array_equal(samples, want)
         assert len(validations) == 1  # the flat reference input only
+        validations.clear()
+        assert convexity_gap(ch, omega, n, seed)[1] == want_gap
+        assert len(validations) == 1
+        # no channel small enough for a dense Choi state fires the converse;
+        # force it, to reach the sampled trial check
+        monkeypatch.setattr(decoupling, "h_max_smooth", lambda lam, eps: -np.inf)
+        validations.clear()
+        res = converse_check(ch, 0.05, 0.001, n_samples=n, seed=seed,
+                             trial_random_inputs=trials)
+        assert res.fires and res.trial_min_avg == want_trial
+        # the Choi state, its B marginal and the two flat trial states
+        assert len(validations) == 4
 
 
 class TestBound:
@@ -133,6 +157,22 @@ class TestConverse:
         assert res.lhs < res.h_min_output
         assert res.trial_min_avg > res.h_max_joint + 1.9
         assert res.empirical_ok
+
+    def test_identity_trials_match_sampled_overlaps(self):
+        d, n, trials, seed = 1024, 20, 4, 2
+
+        def vec(i):
+            return haar_state(d, decoupling._sample_rng(seed, i)).amplitudes
+
+        averages = [2.0 * (1.0 - 1.0 / d)]
+        for j in range(trials):
+            w = vec(10_000 + j)
+            averages.append(float(np.mean(
+                [2.0 * np.sqrt(max(0.0, 1.0 - abs(np.vdot(w, vec(i))) ** 2))
+                 for i in range(n)])))
+        res = converse_check(Channel.identity(d), 0.05, 0.001, n_samples=n,
+                             seed=seed, trial_random_inputs=trials)
+        assert res.trial_min_avg == min(averages)
 
     def test_identity_too_small_to_fire(self):
         res = converse_check(Channel.identity(64), 0.05, 0.001)

@@ -426,6 +426,14 @@ class TestCqClosedForm:
         assert abs(h_min_cond_cq(blocks, eps) - want) < 1e-9
         assert abs(cq_ansatz_optimum(n, eps) - want) < 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_ansatz_optimizer_converges(self, n):
+        # includes (8, 0.0) and (8, 0.2), where optimizing over mu itself
+        # stopped on a failed line search
+        for eps in np.round(np.linspace(0.0, 0.9, 46), 2):
+            want = np.log2(1 / (1 - eps**2))
+            assert abs(cq_ansatz_optimum(n, eps) - want) < 1e-12
+
     def test_rejects_unequal_weights(self):
         rng = np.random.default_rng(1)
         blocks = [(0.4, haar_state(2, rng).density()),

@@ -6,8 +6,6 @@ from memloss.linalg import (
     Evolver,
     PureState,
     SubsystemLayout,
-    embed_subspace,
-    evolve,
     fidelity,
     haar_state,
     haar_unitary,
@@ -94,7 +92,7 @@ class TestEvolution:
         rng = np.random.default_rng(3)
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         h = (g + g.conj().T) / 2
-        assert np.allclose(evolve(h, 0.7), expm(-1j * 0.7 * h), atol=1e-10)
+        assert np.allclose(Evolver(h).unitary(0.7), expm(-1j * 0.7 * h), atol=1e-10)
 
     def test_evolver_composition(self):
         rng = np.random.default_rng(4)
@@ -177,17 +175,6 @@ class TestEmbedding:
         psi = max_entangled(4)
         amp = psi.amplitudes.reshape(4, 4)
         assert np.allclose(amp, np.eye(4) / 2)
-
-    def test_embed_subspace(self):
-        iso = np.zeros((4, 2))
-        iso[0, 0] = iso[2, 1] = 1.0
-        rho = maximally_mixed(2)
-        out = embed_subspace(rho, iso)
-        assert abs(out[0, 0] - 0.5) < 1e-12 and abs(out[1, 1]) < 1e-12
-
-    def test_embed_rejects_nonisometry(self):
-        with pytest.raises(ValueError):
-            embed_subspace(maximally_mixed(2), np.ones((4, 2)))
 
     def test_kron_vectors(self):
         a = PureState.single(np.array([1.0, 0.0]))
