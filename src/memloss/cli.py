@@ -62,6 +62,21 @@ class ConfigError(Exception):
     pass
 
 
+# The top-level config fields each subcommand reads; any other is an error,
+# so a misspelt field cannot silently fall back to its default.
+_SCAN_FIELDS = {"hamiltonian", "times", "epsilon", "slack", "format", "output"}
+_FIELDS = {
+    "criteria-scan": _SCAN_FIELDS,
+    "depol-threshold": {"p_lo", "p_hi", "tol", "p_min", "p_max", "num", "format",
+                        "output"},
+    "decoupling": {"channel", "deltas", "samples", "seed", "epsilon", "output"},
+    "converse": {"channel", "epsilon", "delta", "samples", "seed", "output"},
+    "lightcone": _SCAN_FIELDS,
+    "recurrence": {"hamiltonian", "t_max", "step", "tol", "epsilon", "output"},
+    "absence": {"hamiltonian", "phi", "times", "samples", "seed", "output"},
+}
+
+
 def load_config(path: str | None, args) -> dict:
     if path is None:
         cfg: dict = {"schema": SCHEMA_VERSION}
@@ -75,6 +90,10 @@ def load_config(path: str | None, args) -> dict:
             raise ConfigError("config must be a JSON object")
         if cfg.get("schema") != SCHEMA_VERSION:
             raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
+        unknown = sorted(set(cfg) - _FIELDS[args.command] - {"schema"})
+        if unknown:
+            raise ConfigError(f"{args.command} does not read config "
+                              f"field(s) {', '.join(map(repr, unknown))}")
     for key in ("seed", "output", "epsilon", "delta", "format"):
         val = getattr(args, key, None)
         if val is not None:

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg, optimize
 
 from .linalg import DensityMatrix, PureState, hermitian_eig
 
 EIGENVALUE_TOL = 1e-10
 SDP_MAX_DIM = 256
+SDP_STAGE_STEPS = 60   # Newton steps per centering stage before it gives up
 
 
 def spectrum_of(x) -> np.ndarray:
@@ -247,26 +248,29 @@ class SdpResult:
     value: float          # H_min(A|B) in bits
     sigma: np.ndarray     # optimal conditioning operator
     gap: float            # duality gap bound on tr sigma
-    converged: bool
+    converged: bool       # every centering stage stopped before its cap
+    newton_steps: int     # Newton steps taken over all stages
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal real basis of d x d Hermitian matrices, shape (d^2, d, d)."""
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    m = 0
-    for i in range(d):
-        basis[m, i, i] = 1.0
-        m += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            basis[m, i, j] = inv_sqrt2
-            basis[m, j, i] = inv_sqrt2
-            m += 1
-            basis[m, i, j] = -1j * inv_sqrt2
-            basis[m, j, i] = 1j * inv_sqrt2
-            m += 1
-    return basis
+def _newton_system(chol: np.ndarray, d_a: int, d_b: int,
+                   t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the barrier in the complex entries of sigma.
+
+    From the Cholesky factor of ``I_A (x) sigma - rho`` it builds
+    ``P = (I_A (x) sigma - rho)^-1``.  The gradient is ``G = t I - tr_A P``
+    and the Hessian is the map ``D -> tr_A[P (I_A (x) D) P]``, as a matrix
+    ``H[(b, d), (j, k)] = sum_{a, c} P[a, b, c, j] P[c, k, a, d]``: one
+    product of two reshaped copies of P.
+    """
+    inv, info = linalg.lapack.zpotri(chol, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("singular barrier matrix")
+    p = (np.tril(inv) + np.tril(inv, -1).conj().T).reshape(d_a, d_b, d_a, d_b)
+    grad = t * np.eye(d_b) - np.einsum("abad->bd", p)
+    left = p.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)   # [(b, j), (a, c)]
+    right = p.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b)  # [(a, c), (k, d)]
+    hess = (left @ right).reshape(d_b, d_b, d_b, d_b).transpose(0, 3, 1, 2)
+    return 0.5 * (grad + grad.conj().T), hess.reshape(d_b * d_b, d_b * d_b)
 
 
 def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
@@ -275,7 +279,11 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
 
     The start ``sigma = (lambda_max(rho) + 0.1) I_B`` is strictly feasible;
     the barrier parameter is grown until the duality gap on ``tr sigma``
-    is below ``gap_tol``.
+    is below ``gap_tol``.  Each centering stage stops once half the Newton
+    decrement is below ``max(1e-11, 1e-13 |f|)``, the rounding floor of the
+    barrier value f, which grows with t; a stage that runs out its
+    ``SDP_STAGE_STEPS`` steps, or whose line search fails, clears
+    ``converged``.
     """
     rho = np.asarray(rho_ab.data if isinstance(rho_ab, DensityMatrix) else rho_ab,
                      dtype=complex)
@@ -285,61 +293,57 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
     if n > max_dim:
         raise ValueError(f"dimension {n} exceeds solver envelope {max_dim}")
 
-    basis = _hermitian_basis(d_b)
-    eye_a = np.eye(d_a, dtype=complex)
+    eye_a = np.eye(d_a)
+
+    def factor(sig):
+        """Cholesky factor of ``I_A (x) sig - rho``; None outside the cone."""
+        try:
+            return np.linalg.cholesky(np.kron(eye_a, sig) - rho)
+        except np.linalg.LinAlgError:
+            return None
+
+    def barrier(sig, chol, t):
+        return t * sig.trace().real - 2.0 * np.log(np.diagonal(chol).real).sum()
+
     lam_max = float(np.linalg.eigvalsh(rho)[-1])
     sigma = (lam_max + 0.1) * np.eye(d_b, dtype=complex)
-
-    def barrier(sig, t):
-        m = np.kron(eye_a, sig) - rho
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            return None, None
-        logdet = 2.0 * np.log(np.diagonal(chol).real).sum()
-        return t * sig.trace().real - logdet, chol
-
+    chol = factor(sigma)
     t = 1.0
+    steps = 0
     converged = True
     while True:
         # Newton centering at barrier parameter t.
-        for _ in range(60):
-            f0, chol = barrier(sigma, t)
-            if chol is None:
-                raise RuntimeError("barrier iterate left the feasible cone")
-            inv_m = np.linalg.inv(np.kron(eye_a, sigma) - rho)
-            p4 = inv_m.reshape(d_a, d_b, d_a, d_b)
-            pb = np.einsum("abad->bd", p4)
-            grad = (t * np.einsum("mii->m", basis)
-                    - np.einsum("bd,mdb->m", pb, basis)).real
-            tensor = np.einsum("alci,cjak->ijkl", p4, p4)
-            half = np.tensordot(basis, tensor, axes=([1, 2], [0, 1]))
-            hess = np.tensordot(half, basis, axes=([1, 2], [1, 2])).real
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            decrement = float(-grad @ step)
-            delta = np.tensordot(step, basis, axes=1)
-            if decrement / 2.0 < 1e-11:
+        f = barrier(sigma, chol, t)
+        for _ in range(SDP_STAGE_STEPS):
+            grad, hess = _newton_system(chol, d_a, d_b, t)
+            delta = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d_b, d_b)
+            delta = 0.5 * (delta + delta.conj().T)
+            decrement = -float(np.vdot(grad, delta).real)
+            if decrement / 2.0 < max(1e-11, 1e-13 * abs(f)):
                 break
             s = 1.0
             for _ in range(60):
-                f1, chol1 = barrier(sigma + s * delta, t)
-                if chol1 is not None and f1 <= f0 - 0.25 * s * decrement:
-                    break
+                trial = sigma + s * delta
+                chol1 = factor(trial)
+                if chol1 is not None:
+                    f1 = barrier(trial, chol1, t)
+                    if f1 <= f - 0.25 * s * decrement:
+                        break
                 s *= 0.5
             else:
                 converged = False
                 break
-            sigma = sigma + s * delta
+            sigma, chol, f = trial, chol1, f1
+            steps += 1
+        else:
+            converged = False
         if n / t <= gap_tol:
             break
         t *= 20.0
 
     value = float(sigma.trace().real)
-    return SdpResult(value=float(-np.log2(value)), sigma=sigma,
-                     gap=n / t, converged=converged)
+    return SdpResult(value=float(-np.log2(value)), sigma=sigma, gap=n / t,
+                     converged=converged, newton_steps=steps)
 
 
 def h_min_cond(rho: DensityMatrix, eps: float = 0.0, gap_tol: float = 1e-7) -> float:
@@ -348,12 +352,16 @@ def h_min_cond(rho: DensityMatrix, eps: float = 0.0, gap_tol: float = 1e-7) -> f
     For ``eps > 0`` the value is improved over the restricted family
     ``(1 - delta) rho`` with ``delta <= eps^2``, giving
     ``H_min(A|B) + log2 1/(1 - eps^2)`` -- a lower bound on the smoothed
-    quantity, not the full-ball optimum.
+    quantity, not the full-ball optimum.  Raises ``RuntimeError`` when the
+    SDP solve did not converge.
     """
     if len(rho.layout.factors) != 2:
         raise ValueError("h_min_cond expects a two-factor layout [A, B]")
     d_a, d_b = rho.layout.dims
     result = min_entropy_sdp(rho.data, d_a, d_b, gap_tol=gap_tol)
+    if not result.converged:
+        raise RuntimeError(f"conditional min-entropy SDP did not converge "
+                           f"({result.newton_steps} Newton steps, gap {result.gap:.1e})")
     value = result.value
     if eps > 0.0:
         value += float(np.log2(1.0 / (1.0 - eps * eps)))

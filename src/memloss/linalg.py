@@ -77,12 +77,6 @@ class SubsystemLayout:
                 return d
         raise KeyError(f"unknown factor {name!r}")
 
-    def position(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.factors):
-            if n == name:
-                return i
-        raise KeyError(f"unknown factor {name!r}")
-
     def restrict(self, keep: Iterable[str]) -> "SubsystemLayout":
         keep = set(keep)
         unknown = keep - set(self.names)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from memloss import decoupling
+from memloss import decoupling, entropy
 from memloss.channels import Channel
-from memloss.cli import emit, main
+from memloss.cli import build_parser, emit, load_config, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
 from memloss.linalg import PAULI
 from memloss.serialize import save_kraus_file
@@ -16,6 +16,19 @@ def write_cfg(path, **fields):
     cfg.update(fields)
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+# top-level config fields each subcommand reads, besides "schema"
+READS = {
+    "criteria-scan": {"hamiltonian", "times", "epsilon", "slack", "format", "output"},
+    "lightcone": {"hamiltonian", "times", "epsilon", "slack", "format", "output"},
+    "depol-threshold": {"p_lo", "p_hi", "tol", "p_min", "p_max", "num", "format",
+                        "output"},
+    "decoupling": {"channel", "deltas", "samples", "seed", "epsilon", "output"},
+    "converse": {"channel", "epsilon", "delta", "samples", "seed", "output"},
+    "recurrence": {"hamiltonian", "t_max", "step", "tol", "epsilon", "output"},
+    "absence": {"hamiltonian", "phi", "times", "samples", "seed", "output"},
+}
 
 
 def product_spec_dict(g=0.0):
@@ -125,10 +138,12 @@ class TestConfigHandling:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "kraus.json").write_text("[5]")
         out = tmp_path / "out"
-        cfg = {"hamiltonian": product_spec_dict(), "times": [0.0],
-               "channel": {"builtin": "identity", "d": 2}, "phi": [[1.0, 0.0], [0.0, 0.0]],
-               "epsilon": 0.05, "delta": 0.01, "t_max": 1.0, "step": 0.5,
-               "seed": 0, "samples": 2, "output": str(out)}
+        base = {"hamiltonian": product_spec_dict(), "times": [0.0],
+                "channel": {"builtin": "identity", "d": 2}, "phi": [[1.0, 0.0], [0.0, 0.0]],
+                "epsilon": 0.05, "delta": 0.01, "t_max": 1.0, "step": 0.5,
+                "seed": 0, "samples": 2, "output": str(out)}
+        # only the fields the command reads: any other is itself an error
+        cfg = {k: v for k, v in base.items() if k in READS[command]}
         cfg.update(fields)
         path = write_cfg(tmp_path / "c.json", **cfg)
         assert main([command, path]) == 2
@@ -136,6 +151,31 @@ class TestConfigHandling:
         # the error names the bad field, so no earlier parser stopped the run
         assert "error:" in err and next(iter(fields)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    @pytest.mark.parametrize("field", ["sampels", "threads"])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, command, field):
+        # a misspelt or retired field is an error, not a silent default
+        out = tmp_path / "out"
+        path = write_cfg(tmp_path / "c.json", output=str(out), **{field: 5})
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(field) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("criteria-scan", {"hamiltonian", "times", "epsilon", "output"}),
+        ("lightcone", {"hamiltonian", "times", "epsilon", "output"}),
+        ("decoupling", {"channel", "samples", "seed", "output"}),
+        ("converse", {"channel", "epsilon", "delta", "samples", "seed", "output"}),
+        ("absence", {"hamiltonian", "phi", "times", "samples", "seed", "output"}),
+    ])
+    def test_benchmark_config_fields_accepted(self, tmp_path, command, fields):
+        # the fields of the configs that benchmarks/workloads.py writes; their
+        # values are parsed later, by the runner
+        path = write_cfg(tmp_path / "c.json", **{k: str(tmp_path / k) for k in fields})
+        args = build_parser().parse_args([command, path])
+        assert set(load_config(path, args)) == fields | {"schema"}
 
 
 class TestDepolThreshold:
@@ -229,6 +269,17 @@ class TestChannelCommands:
                         samples=5, seed=0, output=str(out))
         assert main(["decoupling", cfg]) == 2
         assert "289" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconverged_sdp_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a solve that did not converge yields no number
+        monkeypatch.setattr(entropy, "SDP_STAGE_STEPS", 1)
+        out = tmp_path / "dec.json"
+        cfg = write_cfg(tmp_path / "c.json",
+                        channel={"builtin": "identity", "d": 2},
+                        samples=5, seed=0, output=str(out))
+        assert main(["decoupling", cfg]) == 3
+        assert "did not converge" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_channel(self, tmp_path, capsys):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloss.channels import depolarizing
+from memloss import entropy
+from memloss.channels import Channel, depolarizing
 from memloss.entropy import (
     EntropyReport,
     _smooth_target,
@@ -126,6 +127,97 @@ def h_min_smooth_loop(rho, eps: float, bisection_tol: float = 1e-14) -> float:
         else:
             lo = mid
     return float(-np.log2(hi))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the conditional min-entropy SDP with the Newton step in a real
+# orthonormal basis of Hermitian matrices and an unblocked einsum Hessian,
+# kept from before the complex-coordinate step, absolute centering stop
+# included.
+# ---------------------------------------------------------------------------
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal real basis of d x d Hermitian matrices, shape (d^2, d, d)."""
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    m = 0
+    for i in range(d):
+        basis[m, i, i] = 1.0
+        m += 1
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(d):
+        for j in range(i + 1, d):
+            basis[m, i, j] = inv_sqrt2
+            basis[m, j, i] = inv_sqrt2
+            m += 1
+            basis[m, i, j] = -1j * inv_sqrt2
+            basis[m, j, i] = 1j * inv_sqrt2
+            m += 1
+    return basis
+
+
+def min_entropy_sdp_basis(rho, d_a: int, d_b: int, gap_tol: float = 1e-7) -> float:
+    """``H_min(A|B)`` in bits by barrier Newton in the Hermitian basis."""
+    rho = np.asarray(rho, dtype=complex)
+    n = d_a * d_b
+    basis = _hermitian_basis(d_b)
+    eye_a = np.eye(d_a, dtype=complex)
+    lam_max = float(np.linalg.eigvalsh(rho)[-1])
+    sigma = (lam_max + 0.1) * np.eye(d_b, dtype=complex)
+
+    def barrier(sig, t):
+        m = np.kron(eye_a, sig) - rho
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return None, None
+        logdet = 2.0 * np.log(np.diagonal(chol).real).sum()
+        return t * sig.trace().real - logdet, chol
+
+    t = 1.0
+    while True:
+        for _ in range(60):
+            f0, chol = barrier(sigma, t)
+            inv_m = np.linalg.inv(np.kron(eye_a, sigma) - rho)
+            p4 = inv_m.reshape(d_a, d_b, d_a, d_b)
+            pb = np.einsum("abad->bd", p4)
+            grad = (t * np.einsum("mii->m", basis)
+                    - np.einsum("bd,mdb->m", pb, basis)).real
+            tensor = np.einsum("alci,cjak->ijkl", p4, p4)
+            half = np.tensordot(basis, tensor, axes=([1, 2], [0, 1]))
+            hess = np.tensordot(half, basis, axes=([1, 2], [1, 2])).real
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            decrement = float(-grad @ step)
+            delta = np.tensordot(step, basis, axes=1)
+            if decrement / 2.0 < 1e-11:
+                break
+            s = 1.0
+            for _ in range(60):
+                f1, chol1 = barrier(sigma + s * delta, t)
+                if chol1 is not None and f1 <= f0 - 0.25 * s * decrement:
+                    break
+                s *= 0.5
+            else:
+                raise AssertionError("reference line search failed")
+            sigma = sigma + s * delta
+        if n / t <= gap_tol:
+            break
+        t *= 20.0
+    return float(-np.log2(sigma.trace().real))
+
+
+def weyl_depolarizing_choi(d: int, q: float) -> DensityMatrix:
+    """Choi state of ``T(rho) = (1-q) rho + q I/d`` built from its d^2
+    Weyl-Heisenberg Kraus operators; isotropic with ``F = 1 - q + q/d^2``."""
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    kraus = [np.sqrt(1.0 - q + q / d**2 if a == b == 0 else q / d**2)
+             * np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+             for a in range(d) for b in range(d)]
+    return Channel.from_kraus(kraus).choi().state
 
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -383,6 +475,35 @@ class TestConditionalSdp:
         res = min_entropy_sdp(max_entangled(2).density().data, 2, 2)
         assert res.gap <= 1e-7
         assert res.converged
+        assert res.newton_steps > 0
+
+    @PROPERTY
+    @given(d_a=st.integers(1, 3), d_b=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           rank=st.integers(1, 9))
+    def test_matches_basis_reference(self, d_a, d_b, seed, rank):
+        n = d_a * d_b
+        rho = random_density(n, seed, rank=min(rank, n)).data
+        res = min_entropy_sdp(rho, d_a, d_b)
+        assert res.converged
+        assert abs(res.value - min_entropy_sdp_basis(rho, d_a, d_b)) < 1e-9
+
+    @pytest.mark.parametrize("q", np.random.default_rng(808).uniform(0.3, 0.9, 10),
+                             ids=lambda q: f"{q:.4f}")
+    def test_weyl_closed_form(self, q):
+        d = 16
+        res = min_entropy_sdp(weyl_depolarizing_choi(d, q), d, d)
+        # converged: no centering stage ran out its SDP_STAGE_STEPS steps
+        assert res.converged
+        assert res.newton_steps <= 60
+        assert abs(res.value + np.log2(d * (1.0 - q + q / d**2))) < 1e-9
+
+    def test_capped_stage_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(entropy, "SDP_STAGE_STEPS", 1)
+        psi = max_entangled(2).density()
+        res = min_entropy_sdp(psi.data, 2, 2)
+        assert not res.converged
+        with pytest.raises(RuntimeError, match="did not converge"):
+            h_min_cond(psi)
 
     def test_envelope(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ class TestLayout:
         assert lay.dim == 64
         assert lay.names == ("S", "E")
         assert lay.dim_of("E") == 16
-        assert lay.position("E") == 1
 
     def test_restrict_keeps_order(self):
         lay = SubsystemLayout.of(("A", 2), ("B", 3), ("C", 5))
