@@ -35,22 +35,18 @@ class ChoiState:
 
 
 class Channel:
-    """CPTP map stored as a Kraus list, with its Stinespring dilation if given.
+    """CPTP map stored as one Kraus array ``(r, d_out, d_in)``, with its
+    Stinespring dilation if given.
 
-    Channels are immutable values: a dilation's Kraus list is derived once,
-    at construction.
+    Channels are immutable values: a dilation's Kraus array is derived once,
+    at construction, and everything else is read from that array.
     """
 
-    def __init__(self, input_dim: int, output_dim: int, *,
-                 kraus: list[np.ndarray] | None = None,
-                 stinespring: Stinespring | None = None,
-                 name: str = "", analytic: str | None = None):
+    def __init__(self, *, kraus=None, stinespring: Stinespring | None = None,
+                 name: str = ""):
         if kraus is None and stinespring is None:
             raise ValueError("channel needs a Kraus list or a Stinespring dilation")
-        self.input_dim = int(input_dim)
-        self.output_dim = int(output_dim)
         self.name = name
-        self._analytic = analytic
         self.stinespring = stinespring
         if stinespring is not None:
             u = np.asarray(stinespring.joint_unitary, dtype=complex)
@@ -58,48 +54,45 @@ class Channel:
             if np.abs(u @ u.conj().T - np.eye(d)).max(initial=0.0) > KRAUS_TOL:
                 raise ValueError("Stinespring joint operator is not unitary")
             if kraus is None:
-                kraus = self._kraus_from_stinespring()
-        ks = [np.asarray(k, dtype=complex) for k in kraus]
-        total = sum(k.conj().T @ k for k in ks)
-        if np.abs(total - np.eye(self.input_dim)).max(initial=0.0) > KRAUS_TOL:
+                # K_i[s_out, s_in] = sum_e U[(s_out, i), (s_in, e)] psi[e]
+                d_e = stinespring.env_state.dim
+                u4 = u.reshape(d // d_e, d_e, d // d_e, d_e)
+                kraus = np.einsum("aibe,e->iab", u4, stinespring.env_state.amplitudes)
+        ks = np.asarray(kraus, dtype=complex)
+        if ks.ndim != 3 or min(ks.shape) < 1:
+            raise ValueError(f"Kraus operators of shape {ks.shape}, not (r, d_out, d_in)")
+        v = ks.reshape(-1, ks.shape[2])
+        if np.abs(v.conj().T @ v - np.eye(ks.shape[2])).max() > KRAUS_TOL:
             raise ValueError("Kraus operators do not satisfy completeness")
         self.kraus = ks
+
+    @property
+    def input_dim(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def output_dim(self) -> int:
+        return self.kraus.shape[1]
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_kraus(cls, kraus, name: str = "") -> "Channel":
-        ks = [np.asarray(k, dtype=complex) for k in kraus]
-        return cls(ks[0].shape[1], ks[0].shape[0], kraus=ks, name=name)
+        return cls(kraus=kraus, name=name)
 
     @classmethod
     def from_stinespring(cls, env_state: PureState, joint_unitary,
                          name: str = "") -> "Channel":
         u = np.asarray(joint_unitary, dtype=complex)
-        d_e = env_state.dim
-        d_s, rem = divmod(u.shape[0], d_e)
-        if rem:
+        if u.shape[0] % env_state.dim:
             raise ValueError("joint unitary dimension not divisible by env dim")
         dil = Stinespring(env_state=env_state, joint_unitary=u)
-        return cls(d_s, d_s, stinespring=dil, name=name)
+        return cls(stinespring=dil, name=name)
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
-        """Identity channel; flagged so large instances can use analytic spectra."""
-        return cls(d, d, kraus=[np.eye(d, dtype=complex)], name=f"identity({d})",
-                   analytic="identity")
-
-    # -- representations ----------------------------------------------------
-
-    def _kraus_from_stinespring(self) -> list[np.ndarray]:
-        dil = self.stinespring
-        d_e = dil.env_state.dim
-        d_s = self.input_dim
-        u4 = dil.joint_unitary.reshape(d_s, d_e, d_s, d_e)
-        psi = dil.env_state.amplitudes
-        # K_i[s_out, s_in] = sum_e U[(s_out, i), (s_in, e)] psi[e]
-        return [np.tensordot(u4[:, i, :, :], psi, axes=([2], [0]))
-                for i in range(d_e)]
+        """Identity channel: one Kraus operator, a view of ``I_d`` (no copy)."""
+        return cls(kraus=np.eye(d, dtype=complex)[None], name=f"identity({d})")
 
     # -- actions ------------------------------------------------------------
 
@@ -136,22 +129,28 @@ class Channel:
         ``sum_k (I (x) K_k) Phi (I (x) K_k)^dag`` with Phi the maximally
         entangled state.
         """
-        vecs = np.array([k.T.reshape(-1) for k in self.kraus]) / np.sqrt(self.input_dim)
+        ks = self.kraus
+        vecs = ks.transpose(0, 2, 1).reshape(len(ks), -1) / np.sqrt(self.input_dim)
         layout = SubsystemLayout.of(("A'", self.input_dim), ("B", self.output_dim))
         return ChoiState(state=DensityMatrix(vecs.T @ vecs.conj(), layout),
                          source=self.name)
 
     def choi_spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues of the Choi state and of its B marginal.
+        """Eigenvalues, descending, of the Choi state (its nonzero part) and of
+        its B marginal ``T(I/d_A)``, without building the Choi state.
 
-        The identity channel is handled analytically (pure Choi state, flat
-        marginal) so that large dimensions stay tractable.
+        The nonzero spectrum of J is that of the r x r Gram matrix
+        ``tr(K_k^dag K_l) / d_A``.  One Kraus operator is an isometry
+        (completeness), so J is pure and ``T(I/d_A)`` is flat on a
+        d_A-dimensional range.
         """
-        if self._analytic == "identity":
-            d = self.input_dim
-            return np.array([1.0]), np.full(d, 1.0 / d)
-        choi = self.choi().state
-        return choi.spectrum(), choi.marginal("B").spectrum()
+        d_in = self.input_dim
+        if len(self.kraus) == 1:
+            return np.array([1.0]), np.pad(np.full(d_in, 1.0 / d_in),
+                                           (0, self.output_dim - d_in))
+        v = self.kraus.reshape(len(self.kraus), -1)
+        return tuple(np.clip(np.linalg.eigvalsh(h)[::-1], 0.0, None)
+                     for h in (v.conj() @ v.T / d_in, self.apply(np.eye(d_in) / d_in)))
 
 
 def depolarizing(p: float) -> Channel:

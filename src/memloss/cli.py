@@ -75,6 +75,9 @@ _FIELDS = {
     "recurrence": {"hamiltonian", "t_max", "step", "tol", "epsilon", "output"},
     "absence": {"hamiltonian", "phi", "times", "samples", "seed", "output"},
 }
+# Flags that override the config field of the same name, where it is read.
+_OVERRIDES = {"seed": {"type": int}, "output": {}, "epsilon": {"type": float},
+              "delta": {"type": float}, "format": {"choices": ("csv", "json")}}
 
 
 def load_config(path: str | None, args) -> dict:
@@ -94,7 +97,7 @@ def load_config(path: str | None, args) -> dict:
         if unknown:
             raise ConfigError(f"{args.command} does not read config "
                               f"field(s) {', '.join(map(repr, unknown))}")
-    for key in ("seed", "output", "epsilon", "delta", "format"):
+    for key in _OVERRIDES:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -319,11 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None,
                        help="JSON experiment config (schema 1)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        for key, kwargs in _OVERRIDES.items():
+            if key in _FIELDS[name]:
+                p.add_argument(f"--{key}", default=None, **kwargs)
     return parser
 
 

@@ -166,11 +166,11 @@ def _trial_min_average(ch: Channel, n_samples: int, seed: int,
     d_in, d_out = ch.input_dim, ch.output_dim
     trial_vecs = _haar_inputs(d_in, seed, range(10_000, 10_000 + trial_random_inputs))
     vecs = _haar_inputs(d_in, seed, range(n_samples))
-    if ch._analytic == "identity":
-        # outputs are the pure inputs themselves; distances in closed form
-        averages = []
-        # flat trial state (also equals the average output): constant distance
-        averages.append(2.0 * (1.0 - 1.0 / d_in))
+    if len(ch.kraus) == 1:
+        # K is an isometry: outputs of pure inputs are pure, at distance
+        # 2 sqrt(1 - |<w, v>|^2), and at 2(1 - 1/n) from a flat state of rank
+        # n holding them: the average output (n = d_in) and the flat state
+        averages = [2.0 * (1.0 - 1.0 / d_in), 2.0 * (1.0 - 1.0 / d_out)]
         for w in trial_vecs:
             dists = []
             for phi in vecs:

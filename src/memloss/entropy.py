@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg, optimize
 
-from .linalg import DensityMatrix, PureState, hermitian_eig
+from .linalg import EIGENVALUE_TOL, DensityMatrix, PureState
 
-EIGENVALUE_TOL = 1e-10
 SDP_MAX_DIM = 256
 SDP_STAGE_STEPS = 60   # Newton steps per centering stage before it gives up
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memloss.channels import Channel, depolarizing, iid_threshold
-from memloss.entropy import shannon
+from memloss.entropy import h_max_smooth, shannon
 from memloss.linalg import (
     PAULI,
     PureState,
@@ -50,7 +50,7 @@ def choi_by_conjugation(ch):
 class TestConstruction:
     def test_needs_some_representation(self):
         with pytest.raises(ValueError):
-            Channel(2, 2)
+            Channel()
 
     def test_incomplete_kraus_rejected(self):
         with pytest.raises(ValueError):
@@ -149,6 +149,25 @@ class TestChoi:
         choi = ch.choi().state
         assert choi.layout.factors == (("A'", d_in), ("B", d_out))
         assert np.abs(choi.data - choi_by_conjugation(ch)).max() < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_spectra_match_choi_state(self, d_in, d_out, rank, seed):
+        # rank 1 takes the closed form (with d_out > d_in an isometry into a
+        # larger space), higher ranks the Gram matrix
+        ch = random_isometry_channel(d_in, d_out, rank, seed)
+        choi = ch.choi().state
+        joint, marg = ch.choi_spectra()
+        dense = choi.spectrum()
+        n = max(joint.size, dense.size)
+        # equal up to zeros: the Gram spectrum has r entries, J has d_in d_out
+        assert np.abs(np.pad(joint, (0, n - joint.size))
+                      - np.pad(dense, (0, n - dense.size))).max() < 1e-12
+        for eps in (0.05, 0.2):
+            assert abs(h_max_smooth(joint, eps) - h_max_smooth(dense, eps)) < 1e-12
+        assert marg.shape == (d_out,)
+        assert np.abs(marg - choi.marginal("B").spectrum()).max() < 1e-12
 
     def test_dilation_matches_conjugation(self):
         ch = random_dilation(3, 5, 30)

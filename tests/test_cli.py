@@ -178,6 +178,23 @@ class TestConfigHandling:
         assert set(load_config(path, args)) == fields | {"schema"}
 
 
+class TestOverrideFlags:
+    @pytest.mark.parametrize("command", sorted(READS))
+    @pytest.mark.parametrize("flag, value", [
+        ("seed", "3"), ("output", "out.csv"), ("epsilon", "0.2"), ("delta", "0.4"),
+        ("format", "json")])
+    def test_flag_only_where_field_is_read(self, capsys, command, flag, value):
+        # a flag whose field the subcommand does not read would be ignored
+        argv = [command, f"--{flag}", value]
+        if flag in READS[command]:
+            assert getattr(build_parser().parse_args(argv), flag) is not None
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"--{flag}" in capsys.readouterr().err
+
+
 class TestDepolThreshold:
     def test_prints_threshold(self, capsys):
         assert main(["depol-threshold"]) == 0
@@ -280,6 +297,22 @@ class TestChannelCommands:
                         samples=5, seed=0, output=str(out))
         assert main(["decoupling", cfg]) == 3
         assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("channel", [
+        "empty.json",                        # [[]]: one operator with no entries
+        "mixed.json",                        # operators of two shapes
+        {"builtin": "identity", "d": 0},
+    ], ids=["empty", "mixed", "identity-d0"])
+    def test_malformed_channel_exits_2(self, tmp_path, capsys, monkeypatch, channel):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.json").write_text("[[]]")
+        save_kraus_file(str(tmp_path / "mixed.json"), [np.eye(2), np.eye(3)])
+        out = tmp_path / "conv.json"
+        cfg = write_cfg(tmp_path / "c.json", channel=channel, epsilon=0.05,
+                        delta=0.001, seed=0, output=str(out))
+        assert main(["converse", cfg]) == 2
+        assert "bad channel" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_channel(self, tmp_path, capsys):

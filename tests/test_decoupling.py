@@ -13,6 +13,7 @@ from memloss.decoupling import (
     decoupling_bound,
     decoupling_report,
 )
+from memloss.entropy import h_max_smooth, h_min_smooth
 from memloss.linalg import (
     PAULI,
     DensityMatrix,
@@ -93,8 +94,9 @@ class TestAverageDistance:
         res = converse_check(ch, 0.05, 0.001, n_samples=n, seed=seed,
                              trial_random_inputs=trials)
         assert res.fires and res.trial_min_avg == want_trial
-        # the Choi state, its B marginal and the two flat trial states
-        assert len(validations) == 4
+        # the two flat trial states only: the spectra come from the Kraus
+        # operators, so no Choi state or B marginal is built
+        assert len(validations) == 2
 
 
 class TestBound:
@@ -178,6 +180,41 @@ class TestConverse:
         res = converse_check(Channel.identity(64), 0.05, 0.001)
         assert not res.fires
         assert res.trial_min_avg is None and res.empirical_ok is None
+
+    @pytest.mark.parametrize("n, trials", [(1, 20), (30, 3)])
+    def test_single_kraus_trials_match_dense(self, n, trials):
+        # an isometry into a larger space takes the closed form; the same
+        # channel written with two Kraus operators takes the dense path
+        d_in, seed = 2, 4
+        k = haar_unitary(5, 9)[:, :d_in]  # an isometry C^2 -> C^5
+        closed = decoupling._trial_min_average(Channel.from_kraus([k]), n, seed,
+                                               trials)
+        dense = decoupling._trial_min_average(
+            Channel.from_kraus([k / np.sqrt(2), k / np.sqrt(2)]), n, seed, trials)
+        assert abs(closed - dense) < 1e-12
+        # the first case is won by a trial output, the second by T(pi)
+        if n == 1:
+            assert closed < 2.0 * (1.0 - 1.0 / d_in) - 0.1
+        else:
+            assert closed == 2.0 * (1.0 - 1.0 / d_in)
+
+    def test_spectra_without_choi_state(self, monkeypatch):
+        # d = 64, r = 4: the Choi state would be 4096 x 4096
+        def forbidden(self):
+            raise AssertionError("built the Choi state")
+
+        monkeypatch.setattr(Channel, "choi", forbidden)
+        d, eps = 64, 0.05
+        # K_k = (I (x) <k|) V for an isometry V: C^d -> C^d (x) C^4
+        v = haar_unitary(4 * d, 11)[:, :d].reshape(d, 4, d)
+        ch = Channel.from_kraus(v.transpose(1, 0, 2))
+        res = converse_check(ch, eps, 0.001)
+        out = sum(k @ k.conj().T for k in ch.kraus) / d
+        assert abs(res.h_min_output - h_min_smooth(np.linalg.eigvalsh(out), eps)) < 1e-12
+        # J's nonzero spectrum: squared singular values of the vec(K_k)/sqrt(d)
+        vecs = np.array([k.T.reshape(-1) for k in ch.kraus]) / np.sqrt(d)
+        sv = np.linalg.svd(vecs, compute_uv=False) ** 2
+        assert abs(res.h_max_joint - h_max_smooth(sv, eps)) < 1e-12
 
     def test_full_depolarizing_never_fires(self):
         ch = full_depolarizing()
