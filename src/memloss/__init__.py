@@ -37,6 +37,7 @@ from .dynamics import (
     spec_from_dict,
     spec_to_dict,
     system_criteria,
+    system_criteria_scan,
     tau_SE,
     tilde_tau_SE,
 )

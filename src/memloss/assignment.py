@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HamiltonianSpec
-from .linalg import fidelity, haar_state, kron, trace_distance
+from .linalg import fidelity, haar_state, hermitian_eig, kron, trace_distance
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -152,8 +152,15 @@ def memory_bound(delta: float):
 
 
 def spec_delta_phi(spec: HamiltonianSpec, phi) -> AssignmentResult:
-    """delta(phi) of a Hamiltonian spec's eigenbasis."""
-    return delta_phi(overlap_matrix(spec.evolver.eigenvectors, phi))
+    """delta(phi) of a Hamiltonian spec's eigenbasis.
+
+    A sparse spec (a spin chain) evolves without eigenvectors, so its
+    matrix is diagonalized densely here: the assignment needs all of them.
+    """
+    vecs = spec.evolver.eigenvectors
+    if vecs is None:
+        vecs = hermitian_eig(spec.matrix.toarray())[1]
+    return delta_phi(overlap_matrix(vecs, phi))
 
 
 @dataclass
@@ -220,8 +227,7 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
     max_dist = 0.0
     min_margin = np.inf
     exceed = 0
-    for t in times:
-        y = spec.evolver.apply(x0, t)
+    for t, y in zip(times, spec.evolver.evolve(x0, times)):
         flat = y[:, :d_e].reshape(d_s, -1)
         tau_s = flat @ flat.conj().T
         max_dist = max(max_dist, trace_distance(tau_s, phi_dm))

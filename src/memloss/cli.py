@@ -181,8 +181,8 @@ def run_criteria_scan(cfg: dict) -> int:
     rows = []
     counts = {dynamics.MEMORY_LOST: 0, dynamics.MEMORY_RETAINED: 0,
               dynamics.INCONCLUSIVE: 0}
-    for t in times:
-        lost, retained = dynamics.system_criteria(spec, t, eps, slack)
+    for t, (lost, retained) in zip(times, dynamics.system_criteria_scan(
+            spec, times, eps, slack)):
         if retained.verdict == dynamics.MEMORY_RETAINED:
             verdict = dynamics.MEMORY_RETAINED
         elif lost.verdict == dynamics.MEMORY_LOST:
@@ -329,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (or --help)
+        return exc.code
     try:
         cfg = load_config(args.config, args)
         if args.config is None and args.command != "depol-threshold":

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .entropy import h_max_smooth, h_min_smooth
 from .linalg import (
@@ -45,30 +46,21 @@ class CriterionVerdict:
     criterion: str = ""
 
 
-def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for i in range(n):
-        out = kron(out, op if i == site else np.eye(2, dtype=complex))
-    return out
-
-
-def _bond_op(op_a, op_b, site: int, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for i in range(n):
-        if i == site:
-            factor = op_a
-        elif i == site + 1:
-            factor = op_b
-        else:
-            factor = np.eye(2, dtype=complex)
-        out = kron(out, factor)
-    return out
+def _chain_term(op: np.ndarray, site: int, n: int) -> sparse.csr_array:
+    """``I (x) op (x) I`` on an n-qubit chain, ``op`` acting on the sites
+    from ``site`` on (one for a 2 x 2 op, two for a 4 x 4 one)."""
+    span = op.shape[0].bit_length() - 1
+    return sparse.kron(sparse.kron(sparse.eye_array(2 ** site), op),
+                       sparse.eye_array(2 ** (n - site - span)), format="csr")
 
 
 @dataclass(eq=False)
 class HamiltonianSpec:
     """Joint Hamiltonian on a two-factor [S, E] layout plus the macroscopic
     subspaces and reference initial states the criteria need.
+
+    ``matrix`` is a dense array or a scipy sparse matrix (spin chains); its
+    type picks the :class:`Evolver` path.
 
     ``omega_s`` / ``omega_e`` are isometries (orthonormal columns) into S
     resp. E; ``None`` means the full space.  ``psi_e`` is the environment
@@ -86,14 +78,18 @@ class HamiltonianSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        if sparse.issparse(self.matrix):
+            self.matrix = sparse.csr_array(self.matrix, dtype=complex)
+        else:
+            self.matrix = np.asarray(self.matrix, dtype=complex)
         if tuple(self.layout.names) != ("S", "E"):
             raise ValueError("layout must consist of factors ('S', 'E')")
         d = self.layout.dim
         if self.matrix.shape != (d, d):
             raise ValueError("Hamiltonian dimension does not match layout")
-        scale = max(1.0, float(np.abs(self.matrix).max(initial=0.0)))
-        if np.abs(self.matrix - self.matrix.conj().T).max(initial=0.0) > 1e-10 * scale:
+        # abs() and max() read both dense and sparse matrices
+        scale = max(1.0, float(abs(self.matrix).max()))
+        if abs(self.matrix - self.matrix.conj().T).max() > 1e-10 * scale:
             raise ValueError("Hamiltonian is not Hermitian")
         for attr in ("omega_s", "omega_e"):
             iso = getattr(self, attr)
@@ -149,7 +145,8 @@ class HamiltonianSpec:
         ``-j sum sz sz - h sum sx``) or "heisenberg"
         (``j sum (sx sx + sy sy + sz sz) - h sum sz``); ``bond_couplings``
         optionally scales each of the n-1 bonds (setting the S-E bond to 0
-        decouples system and environment).
+        decouples system and environment).  The matrix is sparse (CSR), with
+        2^n (n + 1) nonzeros at most.
         """
         sites = sorted(s_sites) if not isinstance(s_sites, int) else list(range(s_sites))
         if sites != list(range(len(sites))) or not sites:
@@ -161,23 +158,19 @@ class HamiltonianSpec:
             bond_couplings, dtype=float)
         if bonds.shape != (n_sites - 1,):
             raise ValueError("need one coupling per bond")
-        dim = 2 ** n_sites
-        h = np.zeros((dim, dim), dtype=complex)
         if model == "tfi":
-            for b in range(n_sites - 1):
-                h -= j * bonds[b] * _bond_op(_SZ, _SZ, b, n_sites)
-            for i in range(n_sites):
-                h -= h_field * _site_op(_SX, i, n_sites)
+            bond, site, sign = kron(_SZ, _SZ), _SX, -1.0
         elif model == "heisenberg":
-            sy = PAULI[2]
-            for b in range(n_sites - 1):
-                h += j * bonds[b] * (_bond_op(_SX, _SX, b, n_sites)
-                                     + _bond_op(sy, sy, b, n_sites)
-                                     + _bond_op(_SZ, _SZ, b, n_sites))
-            for i in range(n_sites):
-                h -= h_field * _site_op(_SZ, i, n_sites)
+            bond = kron(_SX, _SX) + kron(PAULI[2], PAULI[2]) + kron(_SZ, _SZ)
+            site, sign = _SZ, 1.0
         else:
             raise ValueError(f"unknown model {model!r}")
+        dim = 2 ** n_sites
+        h = sparse.csr_array((dim, dim), dtype=complex)
+        for b in range(n_sites - 1):
+            h = h + sign * j * bonds[b] * _chain_term(bond, b, n_sites)
+        for i in range(n_sites):
+            h = h - h_field * _chain_term(site, i, n_sites)
         layout = SubsystemLayout.of(("S", 2 ** ell), ("E", 2 ** (n_sites - ell)))
         meta = {"n_sites": n_sites, "s_sites": ell, "model": model,
                 "j": float(j), "h_field": float(h_field),
@@ -255,9 +248,9 @@ def _marginal_spectra(y: np.ndarray, d_s: int, d_e: int) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 
 
-def _criteria(spec: HamiltonianSpec, x0: np.ndarray, t: float, eps: float,
+def _criteria(spec: HamiltonianSpec, y: np.ndarray, t: float, eps: float,
               slack: float) -> tuple[CriterionVerdict, CriterionVerdict]:
-    s, e = _marginal_spectra(spec.evolver.apply(x0, t), spec.d_s, spec.d_e)
+    s, e = _marginal_spectra(y, spec.d_s, spec.d_e)
     hmin_s, hmax_s = h_min_smooth(s, eps), h_max_smooth(s, eps)
     hmin_e, hmax_e = h_min_smooth(e, eps), h_max_smooth(e, eps)
 
@@ -273,6 +266,13 @@ def _criteria(spec: HamiltonianSpec, x0: np.ndarray, t: float, eps: float,
                     "hmin(S) >~ hmax(E)"))
 
 
+def _criteria_scan(spec: HamiltonianSpec, x0: np.ndarray, times, eps: float,
+                   slack: float) -> list[tuple[CriterionVerdict, CriterionVerdict]]:
+    times = list(times)
+    return [_criteria(spec, y, t, eps, slack)
+            for t, y in zip(times, spec.evolver.evolve(x0, times))]
+
+
 def system_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
                     slack: float = 0.0) -> tuple[CriterionVerdict, CriterionVerdict]:
     """Memory-of-system-state criteria on ``tau_SE(t)``.
@@ -282,7 +282,15 @@ def system_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
     memory retained).  Both use the conservative bound directions, so a
     fired verdict is sound.
     """
-    return _criteria(spec, _tau_columns(spec), t, eps, slack)
+    return system_criteria_scan(spec, (t,), eps, slack)[0]
+
+
+def system_criteria_scan(spec: HamiltonianSpec, times, eps: float = 0.05,
+                         slack: float = 0.0) -> list[tuple[CriterionVerdict,
+                                                           CriterionVerdict]]:
+    """:func:`system_criteria` at each of ``times``, evolving the columns
+    along the time grid (:meth:`Evolver.evolve`)."""
+    return _criteria_scan(spec, _tau_columns(spec), times, eps, slack)
 
 
 def env_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
@@ -293,7 +301,7 @@ def env_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
     when the output is independent of the environment microstate (that
     memory is lost), the second when it depends on it (memory retained).
     """
-    return _criteria(spec, _tilde_columns(spec), t, eps, slack)
+    return _criteria_scan(spec, _tilde_columns(spec), (t,), eps, slack)[0]
 
 
 def dimension_certificates(spec: HamiltonianSpec) -> tuple[bool, bool]:
@@ -338,8 +346,8 @@ def lightcone_scan(spec: HamiltonianSpec, times, eps: float = 0.05,
     h_max_env = np.empty_like(times)
     deficit = np.empty_like(times)
     t_star = None
-    for i, t in enumerate(times):
-        lost, retained = system_criteria(spec, float(t), eps, slack)
+    scan = system_criteria_scan(spec, times.tolist(), eps, slack)
+    for i, (t, (lost, retained)) in enumerate(zip(times, scan)):
         h_max_env[i] = retained.rhs
         deficit[i] = log_ds - retained.lhs
         if t_star is None and lost.verdict == MEMORY_LOST:
@@ -377,8 +385,8 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
                    h_e=encode_complex_matrix(m["h_e"]),
                    h_int=encode_complex_matrix(m["h_int"]))
     else:
-        out.update(matrix=encode_complex_matrix(spec.matrix),
-                   d_s=spec.d_s, d_e=spec.d_e)
+        matrix = spec.matrix.toarray() if sparse.issparse(spec.matrix) else spec.matrix
+        out.update(matrix=encode_complex_matrix(matrix), d_s=spec.d_s, d_e=spec.d_e)
     for attr in ("omega_s", "omega_e"):
         iso = getattr(spec, attr)
         if iso is not None:
@@ -438,10 +446,14 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
     if spec.layout.dim > 64:
         raise ValueError("recurrence scan limited to total dimension <= 64")
     tau0 = tau_SE(spec, 0.0)
-    best, best_t = np.inf, 0.0
+    grid = []
     t = step
     while t <= t_max + 1e-12:
-        dist = trace_distance(tau_SE(spec, t), tau0)
+        grid.append(t)
+        t += step
+    best, best_t = np.inf, 0.0
+    for t, y in zip(grid, spec.evolver.evolve(_tau_columns(spec), grid)):
+        dist = trace_distance(y @ y.conj().T, tau0)
         if dist < best:
             best, best_t = dist, t
         if dist < tol:
@@ -449,7 +461,6 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
             return RecurrenceScan(t_rec=float(t), distance_at_rec=float(dist),
                                   min_distance=float(best), argmin_time=float(best_t),
                                   verdict_at_rec=retained)
-        t += step
     return RecurrenceScan(t_rec=None, distance_at_rec=None,
                           min_distance=float(best), argmin_time=float(best_t),
                           verdict_at_rec=None)

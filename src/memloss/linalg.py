@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 HERMITICITY_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
@@ -220,16 +222,26 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Evolver:
-    """Caches the eigendecomposition of a Hamiltonian.
+    """``U(t) = exp(-iHt)`` applied to blocks of state columns.
 
-    Unitaries for many times t are assembled from the cached eigenpairs,
-    which is the dominant cost saver in time scans.
+    The type of ``h`` picks the path.  A dense Hamiltonian is diagonalized
+    once, and every time is assembled from its eigenpairs.  A sparse one is
+    never diagonalized: ``expm_multiply`` (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 2011) acts with ``exp(-iH dt)`` on the columns alone, and
+    :meth:`evolve` steps them from each time to the next.
     """
 
     def __init__(self, h):
-        self.eigenvalues, self.eigenvectors = hermitian_eig(h)
+        if sparse.issparse(h):
+            self.generator = sparse.csr_array(h, dtype=complex) * -1j
+            self.eigenvalues = self.eigenvectors = None
+        else:
+            self.generator = None
+            self.eigenvalues, self.eigenvectors = hermitian_eig(h)
 
     def unitary(self, t: float) -> np.ndarray:
+        if self.generator is not None:
+            return self.apply(np.eye(self.generator.shape[0], dtype=complex), t)
         phases = np.exp(-1j * self.eigenvalues * t)
         v = self.eigenvectors
         return (v * phases) @ v.conj().T
@@ -238,11 +250,36 @@ class Evolver:
         """``U(t) @ x0`` for a block of columns, without forming ``U(t)``.
 
         A state ``x0 x0^dag`` of rank r evolves as its d x r columns at
-        O(d^2 r) cost instead of the O(d^3) of ``U rho U^dag``.
+        O(d^2 r) cost (dense) or O(nnz(H) r) per Taylor term (sparse)
+        instead of the O(d^3) of ``U rho U^dag``.
         """
+        if self.generator is not None:
+            return self._step(x0, t)
         phases = np.exp(-1j * self.eigenvalues * t)
         v = self.eigenvectors
         return v @ (phases[:, None] * (v.conj().T @ x0))
+
+    def evolve(self, x0: np.ndarray, times):
+        """Yields ``U(t) @ x0`` for each t of ``times``, in their order.
+
+        The sparse path steps the columns from the previous time by
+        ``t_k - t_{k-1}``, so a scan costs one short step per time, not one
+        evolution from 0; a time equal to the previous one (0 first of all)
+        yields the columns unchanged.
+        """
+        if self.generator is None:
+            for t in times:
+                yield self.apply(x0, t)
+            return
+        y, prev = x0, 0.0
+        for t in times:
+            y, prev = self._step(y, t - prev), t
+            yield y
+
+    def _step(self, x: np.ndarray, dt: float) -> np.ndarray:
+        if dt == 0:
+            return x
+        return expm_multiply(self.generator * dt, x)
 
 
 def trace_norm(a) -> float:

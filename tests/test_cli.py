@@ -189,9 +189,7 @@ class TestOverrideFlags:
         if flag in READS[command]:
             assert getattr(build_parser().parse_args(argv), flag) is not None
         else:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
+            assert main(argv) == 2
             assert f"--{flag}" in capsys.readouterr().err
 
 
@@ -353,3 +351,51 @@ class TestScanCommands:
         obj = json.loads((tmp_path / "abs.json").read_text())
         assert obj["delta_phi"] == pytest.approx(1.0)
         assert obj["deterministic_max_distance"] < 1e-10
+
+
+class TestChainCommands:
+    """``absence`` and ``recurrence`` on a 4-site TFI chain, whose matrix is
+    sparse: the values are those of the dense eigendecomposition path."""
+
+    chain = {"kind": "spin_chain", "n_sites": 4, "s_sites": 1, "h_field": 0.3}
+
+    def test_absence(self, tmp_path, capsys):
+        out = tmp_path / "abs.json"
+        cfg = write_cfg(tmp_path / "c.json", hamiltonian=self.chain,
+                        phi=[[1.0, 0.0], [0.0, 0.0]], times=[0.5, 1.0, 2.0],
+                        samples=5, seed=0, output=str(out))
+        assert main(["absence", cfg]) == 0
+        assert "delta_phi=0.477064" in capsys.readouterr().out
+        obj = json.loads(out.read_text())
+        assert obj["delta_phi"] == pytest.approx(0.47706372511269657, abs=1e-12)
+        assert obj["bound"] == pytest.approx(1.6771055148553113, abs=1e-12)
+        assert obj["deterministic_max_distance"] == pytest.approx(
+            0.28351225135097424, abs=1e-12)
+        assert obj["min_fidelity_margin"] == pytest.approx(1.5088005848701456,
+                                                           abs=1e-12)
+        assert obj["mc_exceed_fraction"] == 0.0
+
+    def test_recurrence_without_return(self, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        chain = dict(self.chain, psi_e=[[1.0, 0.0]] + [[0.0, 0.0]] * 7)
+        cfg = write_cfg(tmp_path / "c.json", hamiltonian=chain, t_max=12.0,
+                        step=0.1, output=str(out))
+        assert main(["recurrence", cfg]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["t_rec"] is None
+        assert obj["argmin_time"] == pytest.approx(0.1, abs=1e-12)
+        assert obj["min_distance"] == pytest.approx(0.1034580420910486, abs=1e-12)
+
+    def test_recurrence_of_classical_chain(self, tmp_path, capsys):
+        # no field: the energies -sum z_i z_(i+1) differ by even integers, so
+        # tau_SE returns at t = pi, reached by 50 steps of pi/50
+        out = tmp_path / "rec.json"
+        plus = [[8 ** -0.5, 0.0]] * 8
+        chain = dict(self.chain, h_field=0.0, psi_e=plus)
+        cfg = write_cfg(tmp_path / "c.json", hamiltonian=chain, t_max=4.0,
+                        step=np.pi / 50, tol=1e-8, output=str(out))
+        assert main(["recurrence", cfg]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["t_rec"] == pytest.approx(np.pi, abs=1e-12)
+        assert obj["distance_at_rec"] < 1e-12
+        assert obj["verdict_at_rec"] == "memory_retained"

@@ -22,11 +22,12 @@ from memloss.dynamics import (
     spec_from_dict,
     spec_to_dict,
     system_criteria,
+    system_criteria_scan,
     tau_SE,
     tilde_tau_SE,
 )
-from memloss.entropy import h_max, h_min
-from memloss.linalg import SubsystemLayout, haar_state, kron, trace_distance
+from memloss.entropy import h_max, h_max_smooth, h_min, h_min_smooth
+from memloss.linalg import PAULI, SubsystemLayout, haar_state, kron, trace_distance
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -255,6 +256,21 @@ class TestLightcone:
         assert scan.t_star is None
         assert np.abs(scan.h_max_env).max() < 1e-6
 
+    def test_initial_slope_independent_of_chain_length(self):
+        # Lieb-Robinson: until the light cone from the S-E boundary reaches
+        # the far end, the chain's length does not change t* or the initial
+        # growth of H_max(E) beyond exponentially small tails
+        times = np.linspace(0, 6, 61)
+        scans = [lightcone_scan(HamiltonianSpec.spin_chain(
+                     n, 2, psi_e=np.eye(2 ** (n - 2))[0]), times, eps=0.05)
+                 for n in (8, 10, 12)]
+        assert [scan.t_star for scan in scans] == [2.5, 2.5, 2.5]
+        slopes = [scan.slope_env for scan in scans]
+        assert slopes[0] == pytest.approx(1.1669, abs=1e-4)
+        assert max(slopes) - min(slopes) < 1e-7
+        # the far end is felt later: the curves part after t*
+        assert np.abs(scans[2].h_max_env - scans[0].h_max_env)[times > 4].max() > 0.01
+
 
 class TestRecurrence:
     def spec(self):
@@ -301,13 +317,21 @@ class TestCodec:
         assert np.allclose(back.omega_e, spec.omega_e)
         assert back.layout.names == ("S", "E") and back.d_e == 4
 
+    def test_sparse_explicit_round_trip(self):
+        # a sparse matrix is written out dense and read back dense
+        spec = HamiltonianSpec.spin_chain(3, 1, psi_e=np.eye(4)[0])
+        bare = HamiltonianSpec.explicit(spec.matrix, 2, 4, psi_e=spec.psi_e)
+        back = spec_from_dict(spec_to_dict(bare))
+        assert isinstance(back.matrix, np.ndarray)
+        assert np.array_equal(back.matrix, spec.matrix.toarray())
+
     def test_chain_round_trip(self):
         spec = HamiltonianSpec.spin_chain(5, 2, model="heisenberg", j=0.7,
                                           h_field=0.2,
                                           bond_couplings=[1, 1, 0.5, 1],
                                           psi_e=np.eye(8)[0])
         back = spec_from_dict(spec_to_dict(spec))
-        assert np.allclose(back.matrix, spec.matrix)
+        assert np.allclose(back.matrix.toarray(), spec.matrix.toarray())
         assert back.meta["model"] == "heisenberg"
         assert back.kind == "spin_chain"
 
@@ -431,3 +455,90 @@ class TestColumnEvolution:
             assert retained.margin == retained.lhs - retained.rhs
             for v in (lost, retained):
                 assert (v.verdict != INCONCLUSIVE) == (v.margin > slack)
+
+
+# ---------------------------------------------------------------------------
+# Spin chains: the sparse matrix stepped along the time grid against the
+# chain built from dense Kronecker products and evolved by expm per time.
+# ---------------------------------------------------------------------------
+
+
+def dense_chain(n, model, j, h_field, bonds):
+    """The chain Hamiltonian from dense Kronecker products, site 0 leading."""
+    def at(ops):
+        out = np.eye(1, dtype=complex)
+        for i in range(n):
+            out = np.kron(out, ops.get(i, np.eye(2)))
+        return out
+
+    x, y, z = PAULI[1], PAULI[2], PAULI[3]
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for b in range(n - 1):
+        if model == "tfi":
+            h -= j * bonds[b] * at({b: z, b + 1: z})
+        else:
+            h += j * bonds[b] * sum(at({b: p, b + 1: p}) for p in (x, y, z))
+    for i in range(n):
+        h -= h_field * at({i: x if model == "tfi" else z})
+    return h
+
+
+@st.composite
+def chain_cases(draw):
+    n = draw(st.integers(2, 8))
+    ell = draw(st.integers(1, n - 1))
+    model = draw(st.sampled_from(["tfi", "heisenberg"]))
+    coupling = st.floats(-1.5, 1.5, allow_nan=False)
+    bonds = draw(st.lists(coupling, min_size=n - 1, max_size=n - 1))
+    bonds[draw(st.integers(0, n - 2))] = 0.0
+    j, h_field = draw(coupling), draw(coupling)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = HamiltonianSpec.spin_chain(
+        n, ell, model=model, j=j, h_field=h_field, bond_couplings=bonds,
+        psi_e=haar_state(2 ** (n - ell), rng).amplitudes,
+        phi_s=haar_state(2 ** ell, rng).amplitudes)
+    # unsorted, with a repeated time
+    times = draw(st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=1,
+                          max_size=4))
+    times.append(draw(st.sampled_from(times)))
+    return spec, dense_chain(n, model, j, h_field, bonds), times
+
+
+class TestChainEvolution:
+    @settings(max_examples=25, deadline=None)
+    @given(chain_cases())
+    def test_stepped_chain_matches_dense_expm(self, case):
+        spec, h, times = case
+        assert np.abs(spec.matrix.toarray() - h).max() < 1e-14
+        d_s, d_e = spec.d_s, spec.d_e
+        rho0s = (np.kron(np.eye(d_s) / d_s, np.outer(spec.psi_e, spec.psi_e.conj())),
+                 np.kron(np.outer(spec.phi_s, spec.phi_s.conj()), np.eye(d_e) / d_e))
+        units = [expm(-1j * t * h) for t in times]
+        oracle = []
+        for x0, rho0 in zip((_tau_columns(spec), _tilde_columns(spec)), rho0s):
+            for u, y in zip(units, spec.evolver.evolve(x0, times)):
+                got = _marginal_spectra(y, d_s, d_e)
+                want = [np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
+                        for m in oracle_marginals(u @ rho0 @ u.conj().T, d_s, d_e)]
+                for lam, ref in zip(got, want):
+                    assert lam.shape == ref.shape
+                    assert np.abs(lam - ref).max() < 1e-10
+                oracle.append(want)
+        # tau's verdicts, fired from the oracle spectra by the same rule
+        for (lost, retained), (s, e) in zip(system_criteria_scan(spec, times),
+                                            oracle[:len(times)]):
+            lost_margin = h_min_smooth(e, 0.05) - h_max_smooth(s, 0.05)
+            retained_margin = h_min_smooth(s, 0.05) - h_max_smooth(e, 0.05)
+            assert (lost.verdict == MEMORY_LOST) == (lost_margin > 0)
+            assert (retained.verdict == MEMORY_RETAINED) == (retained_margin > 0)
+
+    def test_time_zero_returns_initial_columns(self):
+        spec = HamiltonianSpec.spin_chain(6, 2, psi_e=np.eye(16)[0])
+        x0 = _tau_columns(spec)
+        y0, y1, y1_again = spec.evolver.evolve(x0, [0.0, 0.8, 0.8])
+        assert y0 is x0
+        assert y1_again is y1
+        lost, retained = system_criteria(spec, 0.0)
+        # exact columns: the S marginal is flat with trace 1, E is pure
+        assert retained.lhs == h_min_smooth(np.full(4, 0.25), 0.05)
+        assert retained.rhs == 0.0

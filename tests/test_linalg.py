@@ -100,6 +100,24 @@ class TestEvolution:
         assert np.allclose(ev.unitary(1.0) @ ev.unitary(2.0), ev.unitary(3.0))
         assert np.allclose(ev.unitary(0.0), np.eye(4))
 
+    def test_sparse_path_steps_along_times(self):
+        from scipy import sparse
+        from scipy.linalg import expm
+        rng = np.random.default_rng(5)
+        g = sparse.random_array((16, 16), density=0.2, rng=rng, dtype=complex)
+        g = g + 1j * sparse.random_array((16, 16), density=0.2, rng=rng)
+        h = (g + g.conj().T) / 2
+        ev = Evolver(h)
+        assert ev.eigenvectors is None
+        x0 = np.linalg.qr(rng.standard_normal((16, 3)))[0].astype(complex)
+        times = [0.0, 1.3, 0.4, 0.4, 2.0, 0.0]
+        for t, y in zip(times, ev.evolve(x0, times)):
+            assert np.abs(y - expm(-1j * t * h.toarray()) @ x0).max() < 1e-12
+        # t = 0 yields the columns as they are, not a rounded copy
+        assert next(ev.evolve(x0, [0.0])) is x0
+        assert ev.apply(x0, 0.0) is x0
+        assert np.abs(ev.unitary(0.9) - expm(-0.9j * h.toarray())).max() < 1e-12
+
 
 class TestDistances:
     def test_trace_distance_diagonal(self):
