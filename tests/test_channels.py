@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloss.channels import Channel, depolarizing, iid_threshold
+from memloss.channels import Channel, _isometry_deviation, depolarizing, iid_threshold
 from memloss.entropy import h_max_smooth, shannon
 from memloss.linalg import (
     PAULI,
@@ -60,6 +60,42 @@ class TestConstruction:
         env = PureState.single(np.array([1.0, 0.0]), "E")
         with pytest.raises(ValueError):
             Channel.from_stinespring(env, np.ones((4, 4)))
+
+    @pytest.mark.parametrize("r, d_out, d_in",
+                             [(4, 8, 8), (1, 6, 6), (3, 5, 7), (1, 9, 4), (256, 16, 16)])
+    def test_deviation_matches_gemm(self, r, d_out, d_in):
+        # one triangle from zherk against the full product; complete Kraus
+        # arrays (an isometry V) and incomplete ones (V scaled, V perturbed)
+        rng = np.random.default_rng(r + d_out + d_in)
+        g = (rng.standard_normal((r * d_out, d_in))
+             + 1j * rng.standard_normal((r * d_out, d_in)))
+        v = np.linalg.qr(g)[0]
+        for w in (v, 1.001 * v, v + 1e-6 * g):
+            w = np.ascontiguousarray(w)
+            want = np.abs(w.conj().T @ w - np.eye(d_in)).max()
+            assert abs(_isometry_deviation(w) - want) < 1e-15
+        ks = v.reshape(r, d_out, d_in)
+        assert Channel.from_kraus(ks).kraus.shape == (r, d_out, d_in)
+
+    @pytest.mark.parametrize("d_out", [3, 5])
+    def test_completeness_tolerance(self, d_out):
+        # V^dag V = s^2 I: s = 1 + 2e-9 deviates by 4e-9 > KRAUS_TOL, and
+        # s = 1 + 2e-10 by 4e-10 < KRAUS_TOL
+        ks = haar_unitary(2 * d_out, 7)[:, :3].reshape(2, d_out, 3)
+        with pytest.raises(ValueError):
+            Channel.from_kraus((1 + 2e-9) * ks)
+        Channel.from_kraus((1 + 2e-10) * ks)
+        # scaling only the columns that |1>_E feeds leaves the Kraus
+        # operators complete, so the joint unitarity check alone decides
+        env = PureState.single(np.array([1.0, 0.0]), "E")
+        for scale, ok in ((1 + 2e-9, False), (1 + 2e-10, True)):
+            u = haar_unitary(2 * d_out, 8)
+            u.reshape(d_out, 2, d_out, 2)[..., 1] *= scale
+            if ok:
+                Channel.from_stinespring(env, u)
+            else:
+                with pytest.raises(ValueError, match="not unitary"):
+                    Channel.from_stinespring(env, u)
 
     def test_kraus_from_dilation_complete(self):
         ch = random_dilation(3, 4, 0)

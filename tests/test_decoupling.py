@@ -21,7 +21,7 @@ from memloss.linalg import (
     haar_unitary,
     maximally_mixed,
     random_density,
-    trace_distance,
+    trace_norm,
 )
 
 
@@ -57,9 +57,10 @@ class TestAverageDistance:
             avg_output_distance(Channel.identity(2), 0, 0)
 
     def test_samples_match_density_matrix_path(self, monkeypatch):
-        # the unvalidated outer product of each sampled input gives the same
-        # results, bit for bit, as its validated DensityMatrix, in all three
-        # Monte-Carlo consumers
+        # the outputs K v of each sampled input and their eigvalsh distances
+        # agree, to rounding, with Channel.apply on its validated
+        # DensityMatrix and the SVD trace norm, in all three Monte-Carlo
+        # consumers
         d, n, trials, seed = 8, 12, 3, 3
         ch = Channel.from_kraus([np.sqrt(0.6) * haar_unitary(d, 1),
                                  np.sqrt(0.4) * haar_unitary(d, 2)])
@@ -71,10 +72,10 @@ class TestAverageDistance:
 
         outs = outputs(range(n))
         ref = ch.apply(maximally_mixed(d))
-        want = [trace_distance(out, ref) for out in outs]
-        want_gap = float(np.mean([trace_distance(out, omega) for out in outs]))
+        want = [trace_norm(out - ref) for out in outs]
+        want_gap = float(np.mean([trace_norm(out - omega) for out in outs]))
         candidates = [ref, maximally_mixed(d).data] + outputs(range(10_000, 10_000 + trials))
-        want_trial = min(float(np.mean([trace_distance(out, w) for out in outs]))
+        want_trial = min(float(np.mean([trace_norm(out - w) for out in outs]))
                          for w in candidates)
 
         validations = []
@@ -82,10 +83,10 @@ class TestAverageDistance:
         monkeypatch.setattr(DensityMatrix, "__post_init__",
                             lambda self: validations.append(1) or post_init(self))
         _, _, samples = avg_output_distance(ch, n, seed)
-        assert np.array_equal(samples, want)
+        assert np.abs(samples - want).max() < 1e-12
         assert len(validations) == 1  # the flat reference input only
         validations.clear()
-        assert convexity_gap(ch, omega, n, seed)[1] == want_gap
+        assert abs(convexity_gap(ch, omega, n, seed)[1] - want_gap) < 1e-12
         assert len(validations) == 1
         # no channel small enough for a dense Choi state fires the converse;
         # force it, to reach the sampled trial check
@@ -93,7 +94,7 @@ class TestAverageDistance:
         validations.clear()
         res = converse_check(ch, 0.05, 0.001, n_samples=n, seed=seed,
                              trial_random_inputs=trials)
-        assert res.fires and res.trial_min_avg == want_trial
+        assert res.fires and abs(res.trial_min_avg - want_trial) < 1e-12
         # the two flat trial states only: the spectra come from the Kraus
         # operators, so no Choi state or B marginal is built
         assert len(validations) == 2
@@ -175,6 +176,21 @@ class TestConverse:
         res = converse_check(Channel.identity(d), 0.05, 0.001, n_samples=n,
                              seed=seed, trial_random_inputs=trials)
         assert res.trial_min_avg == min(averages)
+
+    @pytest.mark.parametrize("d, n, trials", [(2, 1, 10), (3, 2, 50)])
+    def test_single_kraus_overlaps_match_loop(self, d, n, trials):
+        # the overlap product against the vdot loop over (trial, sample)
+        # pairs, in cases that a trial output wins
+        seed = 6
+        vecs = decoupling._haar_inputs(d, seed, range(n))
+        averages = [2.0 * (1.0 - 1.0 / d)]
+        for w in decoupling._haar_inputs(d, seed, range(10_000, 10_000 + trials)):
+            averages.append(float(np.mean(
+                [2.0 * np.sqrt(max(0.0, 1.0 - abs(np.vdot(w, v)) ** 2)) for v in vecs])))
+        ch = Channel.from_kraus([haar_unitary(d, 13)])
+        got = decoupling._trial_min_average(ch, n, seed, trials)
+        assert abs(got - min(averages)) < 1e-12
+        assert got < averages[0] - 0.1
 
     def test_identity_too_small_to_fire(self):
         res = converse_check(Channel.identity(64), 0.05, 0.001)

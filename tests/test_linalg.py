@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memloss.linalg import (
     DensityMatrix,
@@ -129,6 +131,23 @@ class TestDistances:
         a = DensityMatrix.single(np.diag([1.0, 0.0]))
         b = DensityMatrix.single(np.diag([0.0, 1.0]))
         assert abs(trace_distance(a, b) - 2.0) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 64),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @example(64, 1, 1, 0, False)
+    @example(64, 64, 64, 1, True)
+    @example(40, 3, 40, 2, False)
+    def test_trace_distance_matches_svd(self, d, rank_a, rank_b, seed, same):
+        # the eigvalsh of the Hermitian difference against the SVD oracle, on
+        # full-rank, rank-deficient and identical pairs of states
+        rng = np.random.default_rng(seed)
+        a = random_density(d, rng, rank=min(rank_a, d))
+        b = a if same else random_density(d, rng, rank=min(rank_b, d))
+        dist = trace_distance(a, b)
+        assert abs(dist - trace_norm(a.data - b.data)) < 1e-12
+        if same:
+            assert dist == 0.0
 
     def test_trace_norm_pure(self):
         v = haar_state(4, 0)
