@@ -61,7 +61,6 @@ from .entropy import (
 from .linalg import (
     DensityMatrix,
     Evolver,
-    PureState,
     SubsystemLayout,
     fidelity,
     haar_state,

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HamiltonianSpec
-from .linalg import fidelity, haar_state, hermitian_eig, kron, trace_distance
-
-ORTHONORMAL_TOL = 1e-9
+from .linalg import (ISOMETRY_TOL, fidelity, haar_state, hermitian_eig,
+                     isometry_deviation, kron, trace_distance)
 
 
 @dataclass
@@ -41,10 +40,10 @@ def overlap_matrix(eig_vectors, phi, e_basis=None) -> np.ndarray:
     n = v.shape[0]
     if v.shape != (n, n):
         raise ValueError("eigenvector matrix must be square")
-    if np.abs(v.conj().T @ v - np.eye(n)).max(initial=0.0) > ORTHONORMAL_TOL:
+    if not isometry_deviation(v) <= ISOMETRY_TOL:
         raise ValueError("eigenvectors are not orthonormal")
     phi = np.asarray(phi, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(phi) - 1.0) <= 1e-9:
         raise ValueError("phi is not normalized")
     d_s = phi.shape[0]
     d_e, rem = divmod(n, d_s)
@@ -54,7 +53,9 @@ def overlap_matrix(eig_vectors, phi, e_basis=None) -> np.ndarray:
         e_basis = np.eye(d_e, dtype=complex)
     else:
         e_basis = np.asarray(e_basis, dtype=complex)
-        if np.abs(e_basis.conj().T @ e_basis - np.eye(d_e)).max() > ORTHONORMAL_TOL:
+        if e_basis.shape != (d_e, d_e):
+            raise ValueError("environment basis must be d_E x d_E")
+        if not isometry_deviation(e_basis) <= ISOMETRY_TOL:
             raise ValueError("environment basis is not orthonormal")
     # products[:, j] = phi (x) e_j
     products = np.kron(phi[:, None], e_basis)
@@ -219,7 +220,7 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
     mc_bound = float(np.exp(-(d_e ** (1.0 / 3.0)) / 16.0))
     # columns phi (x) the flat environment's basis / sqrt(d_E), then one
     # column phi (x) psi_i per Haar-random environment state
-    psis = [haar_state(d_e, np.random.default_rng([seed, i])).amplitudes
+    psis = [haar_state(d_e, np.random.default_rng([seed, i]))
             for i in range(n_env_samples)]
     x0 = kron(phi[:, None], np.column_stack([np.eye(d_e) / np.sqrt(d_e), *psis]))
     phi_dm = np.outer(phi, phi.conj())

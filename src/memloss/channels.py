@@ -5,38 +5,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .entropy import von_neumann
 from .linalg import (
+    ISOMETRY_TOL,
+    NORM_TOL,
     PAULI,
     DensityMatrix,
-    PureState,
     SubsystemLayout,
+    as_matrix,
+    isometry_deviation,
     kron,
 )
-
-KRAUS_TOL = 1e-9
-
-
-def _isometry_deviation(v: np.ndarray) -> float:
-    """``max |v^dag v - I|`` of an (n, d) array, by the entry.
-
-    ``zherk`` on the F-contiguous view ``v.T`` forms one triangle of
-    ``v.T v* = conj(v^dag v)`` without a copy of ``v``, at half the flops of
-    the full product; the other triangle stays zero, so its entries count as
-    ``|0 - 0|`` and the maximum is the same as over the whole matrix.
-    """
-    g = zherk(1.0, v.T)
-    g.flat[:: len(g) + 1] -= 1.0
-    return float(np.abs(g).max())
 
 
 @dataclass(frozen=True)
 class Stinespring:
-    """Dilation data: environment state and joint unitary on S (x) E."""
+    """Dilation data: environment unit vector and joint unitary on S (x) E."""
 
-    env_state: PureState
+    env_state: np.ndarray
     joint_unitary: np.ndarray
 
 
@@ -65,17 +52,17 @@ class Channel:
         if stinespring is not None:
             u = np.asarray(stinespring.joint_unitary, dtype=complex)
             d = u.shape[0]
-            if u.size == 0 or _isometry_deviation(u.conj().T) > KRAUS_TOL:
+            if not isometry_deviation(u.conj().T) <= ISOMETRY_TOL:
                 raise ValueError("Stinespring joint operator is not unitary")
             if kraus is None:
                 # K_i[s_out, s_in] = sum_e U[(s_out, i), (s_in, e)] psi[e]
-                d_e = stinespring.env_state.dim
-                u4 = u.reshape(d // d_e, d_e, d // d_e, d_e)
-                kraus = np.einsum("aibe,e->iab", u4, stinespring.env_state.amplitudes)
+                psi = stinespring.env_state
+                u4 = u.reshape(d // len(psi), len(psi), d // len(psi), len(psi))
+                kraus = np.einsum("aibe,e->iab", u4, psi)
         ks = np.asarray(kraus, dtype=complex)
         if ks.ndim != 3 or min(ks.shape) < 1:
             raise ValueError(f"Kraus operators of shape {ks.shape}, not (r, d_out, d_in)")
-        if _isometry_deviation(ks.reshape(-1, ks.shape[2])) > KRAUS_TOL:
+        if not isometry_deviation(ks.reshape(-1, ks.shape[2])) <= ISOMETRY_TOL:
             raise ValueError("Kraus operators do not satisfy completeness")
         self.kraus = ks
 
@@ -94,12 +81,15 @@ class Channel:
         return cls(kraus=kraus, name=name)
 
     @classmethod
-    def from_stinespring(cls, env_state: PureState, joint_unitary,
+    def from_stinespring(cls, env_state, joint_unitary,
                          name: str = "") -> "Channel":
+        psi = np.asarray(env_state, dtype=complex).reshape(-1)
+        if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
+            raise ValueError("environment state is not normalized")
         u = np.asarray(joint_unitary, dtype=complex)
-        if u.shape[0] % env_state.dim:
+        if u.shape[0] % len(psi):
             raise ValueError("joint unitary dimension not divisible by env dim")
-        dil = Stinespring(env_state=env_state, joint_unitary=u)
+        dil = Stinespring(env_state=psi, joint_unitary=u)
         return cls(stinespring=dil, name=name)
 
     @classmethod
@@ -111,8 +101,7 @@ class Channel:
 
     def apply(self, rho) -> np.ndarray:
         """Channel action via the Kraus representation."""
-        rho = np.asarray(rho.data if isinstance(rho, DensityMatrix) else rho,
-                         dtype=complex)
+        rho = as_matrix(rho)
         if rho.shape != (self.input_dim, self.input_dim):
             raise ValueError("input dimension mismatch")
         out = np.zeros((self.output_dim, self.output_dim), dtype=complex)
@@ -124,13 +113,10 @@ class Channel:
         """Joint S (x) E state after the dilation unitary (no partial trace)."""
         if self.stinespring is None:
             raise ValueError("channel has no Stinespring representation")
-        rho = np.asarray(rho_s.data if isinstance(rho_s, DensityMatrix) else rho_s,
-                         dtype=complex)
-        dil = self.stinespring
-        psi = dil.env_state.amplitudes
-        joint = kron(rho, np.outer(psi, psi.conj()))
-        u = dil.joint_unitary
-        layout = SubsystemLayout.of(("S", self.input_dim), ("E", dil.env_state.dim))
+        psi = self.stinespring.env_state
+        joint = kron(rho_s, np.outer(psi, psi.conj()))
+        u = self.stinespring.joint_unitary
+        layout = SubsystemLayout.of(("S", self.input_dim), ("E", len(psi)))
         return DensityMatrix(u @ joint @ u.conj().T, layout)
 
     # -- Choi ---------------------------------------------------------------
@@ -174,8 +160,7 @@ def depolarizing(p: float) -> Channel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    amps = np.array([np.sqrt(1.0 - p)] + [np.sqrt(p / 3.0)] * 3, dtype=complex)
-    env = PureState.single(amps, "E")
+    env = np.array([np.sqrt(1.0 - p)] + [np.sqrt(p / 3.0)] * 3, dtype=complex)
     u = np.zeros((8, 8), dtype=complex)
     u4 = u.reshape(2, 4, 2, 4)
     for a in range(4):

@@ -16,7 +16,8 @@ from . import assignment, decoupling, dynamics
 from .channels import Channel, depolarizing, iid_threshold
 from .entropy import von_neumann
 from .linalg import maximally_mixed
-from .serialize import atomic_write_text, decode_complex_vector, load_kraus_file
+from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
+                        require_finite)
 
 SCHEMA_VERSION = 1
 
@@ -114,15 +115,17 @@ def _require(cfg: dict, key: str):
 
 
 # A field of the wrong JSON type (null, a number for a list) raises TypeError
-# inside the parsers; every parse error is a config error, exit code 2.
-_PARSE_ERRORS = (KeyError, TypeError, ValueError)
+# inside the parsers, and int(Infinity) OverflowError; every parse error is a
+# config error, exit code 2.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _number(cfg: dict, key: str, kind=float, default=None):
     """Scalar field ``key`` as ``kind``; required when there is no default."""
     val = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
-        return kind(val)
+        num = kind(val)
+        return num if kind is int else require_finite(num)
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
@@ -131,9 +134,9 @@ def _times_of(cfg: dict) -> list[float]:
     times = _require(cfg, "times")
     try:
         if isinstance(times, dict):
-            return list(np.linspace(float(times["start"]), float(times["stop"]),
-                                    int(times["num"])))
-        return [float(t) for t in times]
+            start, stop = require_finite([float(times["start"]), float(times["stop"])])
+            return list(np.linspace(start, stop, int(times["num"])))
+        return require_finite([float(t) for t in times])
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad times: {exc}") from exc
 
@@ -222,7 +225,7 @@ def run_depol_threshold(cfg: dict) -> int:
 def run_decoupling(cfg: dict) -> int:
     ch = _channel_of(cfg)
     try:
-        deltas = [float(d) for d in cfg.get("deltas", (0.5,))]
+        deltas = require_finite([float(d) for d in cfg.get("deltas", (0.5,))])
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad deltas: {exc}") from exc
     report = decoupling.decoupling_report(

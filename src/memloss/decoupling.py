@@ -31,8 +31,8 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 def _haar_inputs(d: int, seed: int, indices) -> np.ndarray:
     """Amplitudes of the Haar-random pure input drawn for each index, one row
     per index."""
-    return np.array([haar_state(d, _sample_rng(seed, i)).amplitudes
-                     for i in indices], dtype=complex).reshape(-1, d)
+    return np.array([haar_state(d, _sample_rng(seed, i)) for i in indices],
+                    dtype=complex).reshape(-1, d)
 
 
 def _outputs(ch: Channel, vecs):
@@ -143,11 +143,13 @@ def converse_check(ch: Channel, eps: float, delta: float,
     inputs, and the flat state) is checked empirically; the theorem covers
     all candidates, the trial set is a spot check.
     """
-    if eps <= 0.0 or delta <= 0.0:
+    if not (eps > 0.0 and delta > 0.0):
         raise ValueError("eps and delta must be positive")
     shift = np.sqrt(2.0 * delta) + 4.0 * eps
-    if shift >= 1.0:
+    if not shift < 1.0:
         raise ValueError("sqrt(2 delta) + 4 eps must be below 1")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     joint, marg_b = ch.choi_spectra()
     h_max_joint = h_max_smooth(joint, eps)
     h_min_output = h_min_smooth(marg_b, eps)

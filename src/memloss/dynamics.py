@@ -11,10 +11,14 @@ from scipy import sparse
 
 from .entropy import h_max_smooth, h_min_smooth
 from .linalg import (
+    HERMITICITY_TOL,
+    ISOMETRY_TOL,
     PAULI,
     DensityMatrix,
     Evolver,
     SubsystemLayout,
+    hermiticity_deviation,
+    isometry_deviation,
     kron,
     trace_distance,
 )
@@ -87,22 +91,20 @@ class HamiltonianSpec:
         d = self.layout.dim
         if self.matrix.shape != (d, d):
             raise ValueError("Hamiltonian dimension does not match layout")
-        # abs() and max() read both dense and sparse matrices
-        scale = max(1.0, float(abs(self.matrix).max()))
-        if abs(self.matrix - self.matrix.conj().T).max() > 1e-10 * scale:
-            raise ValueError("Hamiltonian is not Hermitian")
+        if not hermiticity_deviation(self.matrix) <= HERMITICITY_TOL:
+            raise ValueError("Hamiltonian is not finite and Hermitian")
         for attr in ("omega_s", "omega_e"):
             iso = getattr(self, attr)
             if iso is not None:
                 iso = np.asarray(iso, dtype=complex)
-                if np.abs(iso.conj().T @ iso - np.eye(iso.shape[1])).max() > 1e-9:
+                if not isometry_deviation(iso) <= ISOMETRY_TOL:
                     raise ValueError(f"{attr} columns are not orthonormal")
                 setattr(self, attr, iso)
         for attr in ("psi_e", "phi_s"):
             vec = getattr(self, attr)
             if vec is not None:
                 vec = np.asarray(vec, dtype=complex).reshape(-1)
-                if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+                if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:
                     raise ValueError(f"{attr} is not normalized")
                 setattr(self, attr, vec)
 
@@ -399,7 +401,7 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> HamiltonianSpec:
-    from .serialize import decode_complex_matrix, decode_complex_vector
+    from .serialize import decode_complex_matrix, decode_complex_vector, require_finite
 
     extras = {}
     for attr in ("omega_s", "omega_e"):
@@ -412,13 +414,14 @@ def spec_from_dict(d: dict) -> HamiltonianSpec:
     if kind == "spin_chain":
         return HamiltonianSpec.spin_chain(
             n_sites=int(d["n_sites"]), s_sites=int(d["s_sites"]),
-            model=d.get("model", "tfi"), j=float(d.get("j", 1.0)),
-            h_field=float(d.get("h_field", 1.0)),
+            model=d.get("model", "tfi"), j=require_finite(float(d.get("j", 1.0))),
+            h_field=require_finite(float(d.get("h_field", 1.0))),
             bond_couplings=d.get("bond_couplings"), **extras)
     if kind == "coupled_product":
         return HamiltonianSpec.coupled_product(
             decode_complex_matrix(d["h_s"]), decode_complex_matrix(d["h_e"]),
-            decode_complex_matrix(d["h_int"]), g=float(d["g"]), **extras)
+            decode_complex_matrix(d["h_int"]), g=require_finite(float(d["g"])),
+            **extras)
     if kind == "explicit":
         return HamiltonianSpec.explicit(
             decode_complex_matrix(d["matrix"]), int(d["d_s"]), int(d["d_e"]),

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
-from .linalg import EIGENVALUE_TOL, DensityMatrix, PureState
+from .linalg import EIGENVALUE_TOL, DensityMatrix, as_matrix
 
 SDP_MAX_DIM = 256
 SDP_STAGE_STEPS = 60   # Newton steps per centering stage before it gives up
@@ -30,8 +30,6 @@ def spectrum_of(x) -> np.ndarray:
     """Descending eigenvalue vector of a state; 1-D input is passed through."""
     if isinstance(x, DensityMatrix):
         return x.spectrum()
-    if isinstance(x, PureState):
-        return x.density().spectrum()
     a = np.asarray(x)
     if a.ndim == 1:
         lam = np.sort(a.real)[::-1]
@@ -284,8 +282,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
     ``SDP_STAGE_STEPS`` steps, or whose line search fails, clears
     ``converged``.
     """
-    rho = np.asarray(rho_ab.data if isinstance(rho_ab, DensityMatrix) else rho_ab,
-                     dtype=complex)
+    rho = as_matrix(rho_ab)
     n = d_a * d_b
     if rho.shape != (n, n):
         raise ValueError("state dimension does not match d_a * d_b")
@@ -384,8 +381,7 @@ def h_min_cond_cq(blocks, eps: float = 0.0) -> float:
     weights = np.array([w for w, _ in blocks], dtype=float)
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("block weights must sum to 1")
-    states = [np.asarray(r.data if isinstance(r, DensityMatrix) else r, dtype=complex)
-              for _, r in blocks]
+    states = [as_matrix(r) for _, r in blocks]
     if eps == 0.0:
         tops = np.array([np.linalg.eigvalsh(s)[-1].real for s in states])
         return float(-np.log2((weights * tops).sum()))
@@ -410,6 +406,9 @@ def cq_ansatz_optimum(n: int, eps: float) -> float:
     constraint linear, so the line search never meets the infinite slope of
     ``sqrt`` at zero.
     """
+    # imported here, not with the package: a fifth of its modules for one check
+    from scipy import optimize
+
     target = _smooth_target(eps)
     root_n = np.sqrt(n)
     cons = [{"type": "ineq",

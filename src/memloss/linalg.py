@@ -15,14 +15,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.blas import zherk
 from scipy.sparse.linalg import expm_multiply
 
 HERMITICITY_TOL = 1e-10
+ISOMETRY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
@@ -87,16 +90,42 @@ class SubsystemLayout:
         return SubsystemLayout(tuple(f for f in self.factors if f[0] in keep))
 
 
-def _as_matrix(x) -> np.ndarray:
+def as_matrix(x) -> np.ndarray:
+    """The matrix of a state given as a :class:`DensityMatrix` or an array."""
     if isinstance(x, DensityMatrix):
         return x.data
-    if isinstance(x, PureState):
-        return x.density().data
     return np.asarray(x, dtype=complex)
 
 
-def _herm_deviation(a: np.ndarray) -> float:
-    return float(np.abs(a - a.conj().T).max(initial=0.0))
+def hermiticity_deviation(a) -> float:
+    """``max |a - a^dag| / max(1, max |a|)`` of a dense or sparse matrix.
+
+    Infinite when an entry of ``a`` is nan or infinite, which ``max |a|``
+    reveals before the difference is formed.  Every input check reads a
+    deviation as ``not deviation <= tol``, which a nan fails.
+    """
+    if not a.size:
+        return 0.0
+    scale = float(abs(a).max())
+    if not math.isfinite(scale):
+        return math.inf
+    return float(abs(a - a.conj().T).max()) / max(1.0, scale)
+
+
+def isometry_deviation(v: np.ndarray) -> float:
+    """``max |v^dag v - I|`` of an (n, d) array, by the entry; nan when ``v``
+    is empty, and nan or infinite when an entry is (it reaches the diagonal).
+
+    ``zherk`` on the F-contiguous view ``v.T`` forms one triangle of
+    ``v.T v* = conj(v^dag v)`` without a copy of ``v``, at half the flops of
+    the full product; the other triangle stays zero, so its entries count as
+    ``|0 - 0|`` and the maximum is the same as over the whole matrix.
+    """
+    if not v.size:
+        return math.nan
+    g = zherk(1.0, v.T)
+    g.flat[:: len(g) + 1] -= 1.0
+    return float(np.abs(g).max())
 
 
 @dataclass(frozen=True)
@@ -112,9 +141,9 @@ class DensityMatrix:
         d = self.layout.dim
         if data.shape != (d, d):
             raise ValueError(f"data shape {data.shape} does not match layout dim {d}")
+        if not hermiticity_deviation(data) <= HERMITICITY_TOL:
+            raise ValueError("density matrix is not finite and Hermitian within tolerance")
         scale = max(1.0, float(np.abs(data).max(initial=0.0)))
-        if _herm_deviation(data) > HERMITICITY_TOL * scale:
-            raise ValueError("density matrix is not Hermitian within tolerance")
         evals = np.linalg.eigvalsh(data)
         if evals.min(initial=0.0) < -EIGENVALUE_TOL * scale:
             raise ValueError("density matrix has a negative eigenvalue")
@@ -144,49 +173,9 @@ class DensityMatrix:
         return partial_trace(self, keep)
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vector with a factor layout."""
-
-    amplitudes: np.ndarray
-    layout: SubsystemLayout
-
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape[0] != self.layout.dim:
-            raise ValueError("amplitude length does not match layout dim")
-        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("state vector is not normalized")
-
-    @classmethod
-    def single(cls, amplitudes, name: str = "A") -> "PureState":
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        return cls(amplitudes, SubsystemLayout.of((name, amplitudes.shape[0])))
-
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
-
-    def density(self) -> DensityMatrix:
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()), self.layout)
-
-    def marginal(self, *keep: str) -> DensityMatrix:
-        return partial_trace(self.density(), keep)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two matrices (or vectors)."""
-    return np.kron(_raw(a), _raw(b))
-
-
-def _raw(x) -> np.ndarray:
-    if isinstance(x, DensityMatrix):
-        return x.data
-    if isinstance(x, PureState):
-        return x.amplitudes
-    return np.asarray(x, dtype=complex)
+    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
@@ -213,10 +202,9 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(w, v)`` with ``h = v @ diag(w) @ v^dag`` and unitary ``v``.
     """
-    h = _as_matrix(h)
-    scale = max(1.0, float(np.abs(h).max(initial=0.0)))
-    if _herm_deviation(h) > HERMITICITY_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    h = as_matrix(h)
+    if not hermiticity_deviation(h) <= HERMITICITY_TOL:
+        raise ValueError("matrix is not finite and Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
@@ -284,7 +272,7 @@ class Evolver:
 
 def trace_norm(a) -> float:
     """Unnormalized trace norm (sum of singular values) of any matrix."""
-    return float(np.linalg.svd(_as_matrix(a), compute_uv=False).sum())
+    return float(np.linalg.svd(as_matrix(a), compute_uv=False).sum())
 
 
 def trace_distance(rho, sigma) -> float:
@@ -294,7 +282,7 @@ def trace_distance(rho, sigma) -> float:
     its trace norm is the sum of its absolute eigenvalues: an ``eigvalsh``,
     which reads one triangle, in place of the SVD of :func:`trace_norm`.
     """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
+    a, b = as_matrix(rho), as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
@@ -315,7 +303,7 @@ def fidelity(rho, sigma) -> float:
     Equals ``|<phi|psi>|`` for pure inputs and ``sqrt(<phi|sigma|phi>)``
     when the first argument is pure.
     """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
+    a, b = as_matrix(rho), as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.svd(_psd_sqrt(a) @ _psd_sqrt(b), compute_uv=False).sum())
@@ -327,7 +315,7 @@ def purified_distance(rho, sigma) -> float:
     ``Fbar(rho, sigma) = F(rho, sigma) + sqrt((1 - tr rho)(1 - tr sigma))``
     extends the fidelity to subnormalized states.
     """
-    a, b = _as_matrix(rho), _as_matrix(sigma)
+    a, b = as_matrix(rho), as_matrix(sigma)
     tra, trb = float(a.trace().real), float(b.trace().real)
     if tra > 1.0 + TRACE_TOL or trb > 1.0 + TRACE_TOL:
         raise ValueError("purified distance requires trace <= 1")
@@ -341,8 +329,8 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def haar_state(d: int, seed=None, name: str = "A") -> PureState:
-    """Haar-random pure state via a normalized complex Gaussian vector.
+def haar_state(d: int, seed=None) -> np.ndarray:
+    """Haar-random unit vector: a normalized complex Gaussian vector.
 
     The global phase is fixed deterministically (largest-magnitude component
     made real positive), which leaves the distribution on rays unchanged.
@@ -354,7 +342,7 @@ def haar_state(d: int, seed=None, name: str = "A") -> PureState:
     v /= np.linalg.norm(v)
     pivot = int(np.argmax(np.abs(v)))
     v *= np.exp(-1j * np.angle(v[pivot]))
-    return PureState.single(v, name)
+    return v
 
 
 def haar_unitary(d: int, seed=None) -> np.ndarray:
@@ -375,12 +363,13 @@ def random_density(d: int, seed=None, rank: int | None = None, name: str = "A") 
     return DensityMatrix.single(m / m.trace().real, name)
 
 
-def max_entangled(d: int, names: tuple[str, str] = ("A", "B")) -> PureState:
-    """``d^{-1/2} sum_i |i>|i>`` across two d-dimensional factors."""
+def max_entangled(d: int, names: tuple[str, str] = ("A", "B")) -> DensityMatrix:
+    """``|Phi><Phi|``, ``|Phi> = d^{-1/2} sum_i |i>|i>`` on two d-dim factors."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    return PureState(v, SubsystemLayout.of((names[0], d), (names[1], d)))
+    return DensityMatrix(np.outer(v, v.conj()),
+                         SubsystemLayout.of((names[0], d), (names[1], d)))
 
 
 def maximally_mixed(d: int, name: str = "A") -> DensityMatrix:

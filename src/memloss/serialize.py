@@ -17,9 +17,16 @@ def encode_complex_matrix(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def require_finite(values):
+    """``values``, or a ValueError if json.load read a NaN or Infinity there."""
+    if not np.isfinite(values).all():
+        raise ValueError("NaN or Infinity where a finite number is expected")
+    return values
+
+
 def decode_complex_matrix(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows],
-                    dtype=complex)
+    return require_finite(np.array([[complex(re, im) for re, im in row] for row in rows],
+                                   dtype=complex))
 
 
 def encode_complex_vector(v) -> list:
@@ -28,7 +35,8 @@ def encode_complex_vector(v) -> list:
 
 
 def decode_complex_vector(entries) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in entries], dtype=complex)
+    return require_finite(np.array([complex(re, im) for re, im in entries],
+                                   dtype=complex))
 
 
 def load_kraus_file(path) -> list[np.ndarray]:

@@ -63,6 +63,10 @@ class TestOverlapMatrix:
             overlap_matrix(np.eye(4), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             overlap_matrix(np.eye(4), np.ones(3) / np.sqrt(3))
+        # orthonormal columns, but not a basis of E: fewer or more rows
+        for e_basis in (np.eye(2)[:, :1], np.eye(3)[:, :2]):
+            with pytest.raises(ValueError):
+                overlap_matrix(np.eye(4), PHI, e_basis=e_basis)
 
     def test_perturbative_deficit_scaling(self):
         # for weak coupling the worst column deficit 1 - max_k f[k, j]

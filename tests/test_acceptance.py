@@ -98,7 +98,8 @@ def test_criterion_3_equal_weight_pure_blocks():
     rng = np.random.default_rng(14)
     worst = 0.0
     for n in (2, 4, 8):
-        blocks = [(1.0 / n, haar_state(3, rng).density()) for _ in range(n)]
+        blocks = [(1.0 / n, np.outer(v, v.conj()))
+                  for v in (haar_state(3, rng) for _ in range(n))]
         for eps in (0.0, 0.1, 0.3):
             want = np.log2(1.0 / (1.0 - eps * eps))
             worst = max(worst, abs(h_min_cond_cq(blocks, eps) - want),
@@ -177,7 +178,7 @@ def test_criterion_7_entropy_properties():
     symmetry = 0.0
     for seed in range(20):
         psi = haar_state(9, 500 + seed)
-        dm = DensityMatrix(psi.density().data,
+        dm = DensityMatrix(np.outer(psi, psi.conj()),
                            SubsystemLayout.of(("A", 3), ("B", 3)))
         a, b = dm.marginal("A"), dm.marginal("B")
         symmetry = max(symmetry, abs(h_min(a) - h_min(b)),
@@ -207,12 +208,12 @@ def test_criterion_8_criteria_sanity():
     for d_omega in (2, 3, 4):
         iso = np.eye(4, dtype=complex)[:, :d_omega]
         spec = HamiltonianSpec.explicit(random_h(16), 4, 4, omega_s=iso,
-                                        psi_e=haar_state(4, rng).amplitudes)
+                                        psi_e=haar_state(4, rng))
         _, retained = system_criteria(spec, 0.0, 0.05)
         fires_t0 &= (retained.verdict == MEMORY_RETAINED
                      and retained.lhs - retained.rhs > -1e-9)
         spec_e = HamiltonianSpec.explicit(random_h(16), 4, 4, omega_e=iso,
-                                          phi_s=haar_state(4, rng).amplitudes)
+                                          phi_s=haar_state(4, rng))
         independent, _ = env_criteria(spec_e, 0.0, 0.05)
         fires_t0 &= (independent.verdict == MEMORY_LOST
                      and independent.margin > -1e-9)
@@ -220,14 +221,14 @@ def test_criterion_8_criteria_sanity():
     certs_sound = True
     for _ in range(10):
         spec = HamiltonianSpec.explicit(random_h(128), 32, 4,
-                                        psi_e=haar_state(4, rng).amplitudes)
+                                        psi_e=haar_state(4, rng))
         assert dimension_certificates(spec)[0]
         for t in rng.uniform(0.0, 50.0, 50):
             _, retained = system_criteria(spec, float(t), 0.05)
             certs_sound &= retained.verdict == MEMORY_RETAINED
     for _ in range(10):
         spec = HamiltonianSpec.explicit(random_h(128), 4, 32,
-                                        phi_s=haar_state(4, rng).amplitudes)
+                                        phi_s=haar_state(4, rng))
         assert dimension_certificates(spec)[1]
         for t in rng.uniform(0.0, 50.0, 50):
             independent, _ = env_criteria(spec, float(t), 0.05)
@@ -284,7 +285,7 @@ def test_criterion_11_bottleneck_exact():
         n = d_s * d_e
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         _, v = hermitian_eig((g + g.conj().T) / 2)
-        phi = haar_state(d_s, rng).amplitudes
+        phi = haar_state(d_s, rng)
         f = overlap_matrix(v, phi)
         if delta_phi(f).delta_phi != delta_phi_exhaustive(f):
             mismatches += 1

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloss.channels import Channel, _isometry_deviation, depolarizing, iid_threshold
+from memloss.channels import Channel, depolarizing, iid_threshold
 from memloss.entropy import h_max_smooth, shannon
 from memloss.linalg import (
     PAULI,
-    PureState,
     haar_state,
     haar_unitary,
+    isometry_deviation,
     kron,
     max_entangled,
     maximally_mixed,
@@ -38,7 +38,7 @@ def random_isometry_channel(d_in, d_out, rank, seed):
 def choi_by_conjugation(ch):
     """``sum_k (I (x) K_k) Phi (I (x) K_k)^dag``, one dense product per
     Kraus operator: the reference for :meth:`Channel.choi`."""
-    full = max_entangled(ch.input_dim).density().data
+    full = max_entangled(ch.input_dim).data
     eye = np.eye(ch.input_dim)
     out = np.zeros((ch.input_dim * ch.output_dim,) * 2, dtype=complex)
     for k in ch.kraus:
@@ -57,9 +57,19 @@ class TestConstruction:
             Channel.from_kraus([0.9 * np.eye(2)])
 
     def test_nonunitary_dilation_rejected(self):
-        env = PureState.single(np.array([1.0, 0.0]), "E")
         with pytest.raises(ValueError):
-            Channel.from_stinespring(env, np.ones((4, 4)))
+            Channel.from_stinespring(np.array([1.0, 0.0]), np.ones((4, 4)))
+
+    def test_unnormalized_environment_rejected(self):
+        # the environment vector's norm is checked to 1e-12, before the
+        # joint operator is read
+        u = haar_unitary(4, 2)
+        Channel.from_stinespring(np.array([1.0 + 5e-13, 0.0]), u)
+        for env in ([1.0, 1.0], [1.0 + 2e-12, 0.0], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                Channel.from_stinespring(np.array(env), u)
+        with pytest.raises(ValueError, match="not normalized"):
+            Channel.from_stinespring(np.array([1.0, 1.0]), np.ones((3, 3)))
 
     @pytest.mark.parametrize("r, d_out, d_in",
                              [(4, 8, 8), (1, 6, 6), (3, 5, 7), (1, 9, 4), (256, 16, 16)])
@@ -73,21 +83,21 @@ class TestConstruction:
         for w in (v, 1.001 * v, v + 1e-6 * g):
             w = np.ascontiguousarray(w)
             want = np.abs(w.conj().T @ w - np.eye(d_in)).max()
-            assert abs(_isometry_deviation(w) - want) < 1e-15
+            assert abs(isometry_deviation(w) - want) < 1e-15
         ks = v.reshape(r, d_out, d_in)
         assert Channel.from_kraus(ks).kraus.shape == (r, d_out, d_in)
 
     @pytest.mark.parametrize("d_out", [3, 5])
     def test_completeness_tolerance(self, d_out):
-        # V^dag V = s^2 I: s = 1 + 2e-9 deviates by 4e-9 > KRAUS_TOL, and
-        # s = 1 + 2e-10 by 4e-10 < KRAUS_TOL
+        # V^dag V = s^2 I: s = 1 + 2e-9 deviates by 4e-9 > ISOMETRY_TOL, and
+        # s = 1 + 2e-10 by 4e-10 < ISOMETRY_TOL
         ks = haar_unitary(2 * d_out, 7)[:, :3].reshape(2, d_out, 3)
         with pytest.raises(ValueError):
             Channel.from_kraus((1 + 2e-9) * ks)
         Channel.from_kraus((1 + 2e-10) * ks)
         # scaling only the columns that |1>_E feeds leaves the Kraus
         # operators complete, so the joint unitarity check alone decides
-        env = PureState.single(np.array([1.0, 0.0]), "E")
+        env = np.array([1.0, 0.0])
         for scale, ok in ((1 + 2e-9, False), (1 + 2e-10, True)):
             u = haar_unitary(2 * d_out, 8)
             u.reshape(d_out, 2, d_out, 2)[..., 1] *= scale
@@ -107,7 +117,7 @@ class TestConstruction:
         d_s, d_e = 3, 4
         ch = random_dilation(d_s, d_e, 7)
         u = ch.stinespring.joint_unitary.reshape(d_s, d_e, d_s, d_e)
-        psi = ch.stinespring.env_state.amplitudes
+        psi = ch.stinespring.env_state
         want = np.einsum("aibe,e->iab", u, psi)
         assert np.allclose(np.array(ch.kraus), want, atol=1e-14)
         rho = random_density(d_s, 8).data

@@ -8,7 +8,7 @@ from memloss.channels import Channel
 from memloss.cli import build_parser, emit, load_config, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
 from memloss.linalg import PAULI
-from memloss.serialize import save_kraus_file
+from memloss.serialize import decode_complex_matrix, decode_complex_vector, save_kraus_file
 
 
 def write_cfg(path, **fields):
@@ -313,6 +313,19 @@ class TestChannelCommands:
         assert "bad channel" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_converse_needs_a_sample(self, tmp_path, capsys, samples):
+        # no trial average of no samples: the flat-state constant alone
+        # would read as empirical_ok
+        out = tmp_path / "conv.json"
+        cfg = write_cfg(tmp_path / "c.json",
+                        channel={"builtin": "identity", "d": 1024},
+                        epsilon=0.05, delta=0.001, samples=samples, seed=0,
+                        output=str(out))
+        assert main(["converse", cfg]) == 2
+        assert "sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_channel(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", channel={"builtin": "amplitude"},
                         seed=0)
@@ -399,3 +412,57 @@ class TestChainCommands:
         assert obj["t_rec"] == pytest.approx(np.pi, abs=1e-12)
         assert obj["distance_at_rec"] < 1e-12
         assert obj["verdict_at_rec"] == "memory_retained"
+
+
+class TestNonFiniteConfig:
+    """json.load reads ``NaN`` and ``Infinity``; a config that holds one
+    exits 2 and writes nothing."""
+
+    chain = {"kind": "spin_chain", "n_sites": 4, "s_sites": 1,
+             "psi_e": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("command, fields", [
+        ("converse", {"delta": "BAD"}),
+        ("converse", {"channel": "kraus.json"}),
+        ("criteria-scan", {"hamiltonian": dict(chain, j="BAD")}),
+        ("criteria-scan", {"times": [0.0, "BAD"]}),
+        ("lightcone", {"times": {"start": 0.0, "stop": "BAD", "num": 3}}),
+        ("decoupling", {"deltas": ["BAD"]}),
+        ("decoupling", {"samples": "BAD"}),
+        ("absence", {"phi": [[1.0, 0.0], ["BAD", 0.0]]}),
+    ], ids=["converse-delta", "converse-kraus", "chain-j", "times", "times-range",
+            "deltas", "samples", "phi"])
+    def test_nonfinite_field_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                     fields, bad):
+        monkeypatch.chdir(tmp_path)
+        kraus = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["BAD", 0.0]]]
+        base = {"channel": {"builtin": "identity", "d": 2}, "epsilon": 0.05,
+                "delta": 0.01, "seed": 0, "samples": 2, "hamiltonian": self.chain,
+                "times": [0.0, 1.0], "phi": [[1.0, 0.0], [0.0, 0.0]]}
+        out = tmp_path / "out"
+        cfg = {k: v for k, v in base.items() if k in READS[command]}
+        cfg.update(fields, output=str(out))
+
+        def put(x):
+            if x == "BAD":
+                return bad
+            if isinstance(x, list):
+                return [put(y) for y in x]
+            if isinstance(x, dict):
+                return {k: put(v) for k, v in x.items()}
+            return x
+
+        (tmp_path / "kraus.json").write_text(json.dumps(put(kraus)))
+        path = write_cfg(tmp_path / "c.json", **put(cfg))
+        assert main([command, path]) == 2
+        # the field's own parser rejects it, not a check further on
+        assert f"error: bad {next(iter(fields))}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_decoders_reject_nonfinite(self, bad):
+        with pytest.raises(ValueError):
+            decode_complex_matrix([[[1.0, 0.0], [0.0, bad]]])
+        with pytest.raises(ValueError):
+            decode_complex_vector([[1.0, 0.0], [bad, 0.0]])

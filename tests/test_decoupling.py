@@ -67,8 +67,8 @@ class TestAverageDistance:
         omega = random_density(d, 4).data
 
         def outputs(indices):
-            return [ch.apply(haar_state(d, decoupling._sample_rng(seed, i)).density())
-                    for i in indices]
+            vecs = [haar_state(d, decoupling._sample_rng(seed, i)) for i in indices]
+            return [ch.apply(DensityMatrix.single(np.outer(v, v.conj()))) for v in vecs]
 
         outs = outputs(range(n))
         ref = ch.apply(maximally_mixed(d))
@@ -150,6 +150,12 @@ class TestConverse:
             converse_check(ch, 0.0, 0.1)
         with pytest.raises(ValueError):
             converse_check(ch, 0.2, 0.5)  # sqrt(2 delta) + 4 eps >= 1
+        for eps, delta in ((np.nan, 0.1), (0.01, np.nan), (0.01, np.inf)):
+            with pytest.raises(ValueError):
+                converse_check(ch, eps, delta)
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="sample"):
+                converse_check(ch, 0.01, 0.001, n_samples=n)
 
     def test_identity_fires_at_large_dimension(self):
         res = converse_check(Channel.identity(1024), 0.05, 0.001,
@@ -165,7 +171,7 @@ class TestConverse:
         d, n, trials, seed = 1024, 20, 4, 2
 
         def vec(i):
-            return haar_state(d, decoupling._sample_rng(seed, i)).amplitudes
+            return haar_state(d, decoupling._sample_rng(seed, i))
 
         averages = [2.0 * (1.0 - 1.0 / d)]
         for j in range(trials):

@@ -42,11 +42,11 @@ def dense_specs():
     plus the mirrored version used for the environment-side criteria."""
     rng = np.random.default_rng(9)
     h = random_hermitian(32, rng)
-    psi = haar_state(16, rng).amplitudes
+    psi = haar_state(16, rng)
     small_sys = HamiltonianSpec.explicit(h, 2, 16, psi_e=psi)
     h2 = random_hermitian(32, rng)
     big_sys = HamiltonianSpec.explicit(h2, 16, 2,
-                                       phi_s=haar_state(16, rng).amplitudes)
+                                       phi_s=haar_state(16, rng))
     return small_sys, big_sys
 
 
@@ -93,8 +93,8 @@ class TestSpecialStates:
         rng = np.random.default_rng(30)
         self.spec = HamiltonianSpec.explicit(
             random_hermitian(8, rng), 2, 4,
-            psi_e=haar_state(4, 31).amplitudes,
-            phi_s=haar_state(2, 32).amplitudes)
+            psi_e=haar_state(4, 31),
+            phi_s=haar_state(2, 32))
 
     def test_tau_at_time_zero(self):
         tau = tau_SE(self.spec, 0.0)
@@ -206,7 +206,7 @@ class TestCertificates:
         rng = np.random.default_rng(3)
         h = random_hermitian(128, rng)
         spec = HamiltonianSpec.explicit(h, 32, 4,
-                                        psi_e=haar_state(4, rng).amplitudes)
+                                        psi_e=haar_state(4, rng))
         assert dimension_certificates(spec)[0]
         for t in rng.uniform(0, 50, 6):
             _, retained = system_criteria(spec, float(t), 0.05)
@@ -217,7 +217,7 @@ class TestCertificates:
         rng = np.random.default_rng(13)
         h = random_hermitian(128, rng)
         spec = HamiltonianSpec.explicit(h, 4, 32,
-                                        phi_s=haar_state(4, rng).amplitudes)
+                                        phi_s=haar_state(4, rng))
         assert dimension_certificates(spec)[1]
         for t in rng.uniform(0, 50, 6):
             independent, _ = env_criteria(spec, float(t), 0.05)
@@ -307,8 +307,8 @@ class TestCodec:
         rng = np.random.default_rng(40)
         spec = HamiltonianSpec.explicit(
             random_hermitian(8, rng), 2, 4,
-            psi_e=haar_state(4, 41).amplitudes,
-            phi_s=haar_state(2, 42).amplitudes,
+            psi_e=haar_state(4, 41),
+            phi_s=haar_state(2, 42),
             omega_e=np.eye(4, dtype=complex)[:, :2])
         back = spec_from_dict(spec_to_dict(spec))
         assert np.allclose(back.matrix, spec.matrix)
@@ -369,8 +369,8 @@ def explicit_specs(draw, subspaces=True):
         if subspaces and draw(st.booleans()):
             isos[name] = random_isometry(d, draw(st.integers(1, d)), rng)
     return HamiltonianSpec.explicit(random_hermitian(d_s * d_e, rng), d_s, d_e,
-                                    psi_e=haar_state(d_e, rng).amplitudes,
-                                    phi_s=haar_state(d_s, rng).amplitudes, **isos)
+                                    psi_e=haar_state(d_e, rng),
+                                    phi_s=haar_state(d_s, rng), **isos)
 
 
 times_st = st.floats(0.0, 20.0, allow_nan=False)
@@ -440,7 +440,7 @@ class TestColumnEvolution:
             rho = u @ np.kron(phi_dm, np.eye(d_e) / d_e) @ u.conj().T
             max_dist = max(max_dist, dist(rho))
             for i in range(n):
-                psi = haar_state(d_e, np.random.default_rng([seed, i])).amplitudes
+                psi = haar_state(d_e, np.random.default_rng([seed, i]))
                 v = u @ np.kron(phi, psi)
                 exceed += dist(np.outer(v, v.conj())) > rep.radius
         assert rep.deterministic_max_distance == pytest.approx(max_dist, abs=1e-10)
@@ -495,8 +495,8 @@ def chain_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec = HamiltonianSpec.spin_chain(
         n, ell, model=model, j=j, h_field=h_field, bond_couplings=bonds,
-        psi_e=haar_state(2 ** (n - ell), rng).amplitudes,
-        phi_s=haar_state(2 ** ell, rng).amplitudes)
+        psi_e=haar_state(2 ** (n - ell), rng),
+        phi_s=haar_state(2 ** ell, rng))
     # unsorted, with a repeated time
     times = draw(st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=1,
                           max_size=4))

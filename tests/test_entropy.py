@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +31,6 @@ from memloss.entropy import (
 )
 from memloss.linalg import (
     DensityMatrix,
-    PureState,
     SubsystemLayout,
     haar_state,
     max_entangled,
@@ -42,7 +45,8 @@ def schmidt_state(lam, names=("A", "B")):
     amps = np.zeros(d * d, dtype=complex)
     for i, l in enumerate(lam):
         amps[i * d + i] = np.sqrt(l)
-    return PureState(amps, SubsystemLayout.of((names[0], d), (names[1], d)))
+    return DensityMatrix(np.outer(amps, amps.conj()),
+                         SubsystemLayout.of((names[0], d), (names[1], d)))
 
 
 def cq_state(blocks):
@@ -280,6 +284,7 @@ class TestPlainEntropies:
 
     def test_pure(self):
         psi = haar_state(5, 0)
+        psi = np.outer(psi, psi.conj())
         assert abs(h_min(psi)) < 1e-10
         # h_max picks up the square root of the eigenvalue noise floor
         assert abs(h_max(psi)) < 1e-7
@@ -456,14 +461,14 @@ class TestConditionalSdp:
     def test_max_entangled(self):
         for d in (2, 3):
             psi = max_entangled(d)
-            assert abs(h_min_cond(psi.density()) + np.log2(d)) < 1e-6
+            assert abs(h_min_cond(psi) + np.log2(d)) < 1e-6
 
     def test_pure_schmidt(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             lam = rng.dirichlet(np.ones(3))
             psi = schmidt_state(lam)
-            assert abs(h_min_cond(psi.density()) + h_max(lam)) < 1e-6
+            assert abs(h_min_cond(psi) + h_max(lam)) < 1e-6
 
     def test_cq_agreement(self):
         rng = np.random.default_rng(8)
@@ -472,7 +477,7 @@ class TestConditionalSdp:
         assert abs(h_min_cond(dm) - h_min_cond_cq(blocks)) < 1e-6
 
     def test_gap_reported(self):
-        res = min_entropy_sdp(max_entangled(2).density().data, 2, 2)
+        res = min_entropy_sdp(max_entangled(2).data, 2, 2)
         assert res.gap <= 1e-7
         assert res.converged
         assert res.newton_steps > 0
@@ -499,7 +504,7 @@ class TestConditionalSdp:
 
     def test_capped_stage_is_not_converged(self, monkeypatch):
         monkeypatch.setattr(entropy, "SDP_STAGE_STEPS", 1)
-        psi = max_entangled(2).density()
+        psi = max_entangled(2)
         res = min_entropy_sdp(psi.data, 2, 2)
         assert not res.converged
         with pytest.raises(RuntimeError, match="did not converge"):
@@ -520,7 +525,7 @@ class TestConditionalSdp:
             assert hab <= 1.0 + 1e-10
 
     def test_eps_shift(self):
-        psi = max_entangled(2).density()
+        psi = max_entangled(2)
         base = h_min_cond(psi)
         shifted = h_min_cond(psi, eps=0.1)
         assert abs(shifted - base - np.log2(1 / 0.99)) < 1e-9
@@ -542,7 +547,8 @@ class TestCqClosedForm:
     @pytest.mark.parametrize("eps", [0.1, 0.3])
     def test_pure_blocks_closed_form(self, n, eps):
         rng = np.random.default_rng(n)
-        blocks = [(1.0 / n, haar_state(3, rng).density()) for _ in range(n)]
+        blocks = [(1.0 / n, np.outer(v, v.conj()))
+                  for v in (haar_state(3, rng) for _ in range(n))]
         want = np.log2(1 / (1 - eps**2))
         assert abs(h_min_cond_cq(blocks, eps) - want) < 1e-9
         assert abs(cq_ansatz_optimum(n, eps) - want) < 1e-9
@@ -557,8 +563,8 @@ class TestCqClosedForm:
 
     def test_rejects_unequal_weights(self):
         rng = np.random.default_rng(1)
-        blocks = [(0.4, haar_state(2, rng).density()),
-                  (0.6, haar_state(2, rng).density())]
+        blocks = [(w, np.outer(v, v.conj()))
+                  for w, v in ((0.4, haar_state(2, rng)), (0.6, haar_state(2, rng)))]
         with pytest.raises(ValueError):
             h_min_cond_cq(blocks, eps=0.1)
 
@@ -572,7 +578,7 @@ class TestChainBounds:
         assert abs(b1 - h_min(a)) < 1e-10
 
     def test_max_entangled_tight(self):
-        psi = max_entangled(2).density()
+        psi = max_entangled(2)
         b1, _ = chain_bounds(psi, 0.0)
         assert abs(b1 + 1.0) < 1e-10
         assert abs(h_min_cond(psi) + 1.0) < 1e-6
@@ -607,3 +613,15 @@ class TestReport:
         boost = np.log2(1 / (1 - 0.05**2))
         assert -boost - 1e-9 <= rep.h_max_smooth
         assert rep.h_min_smooth <= 2.0 + boost + 1e-9
+
+
+def test_import_leaves_out_scipy_optimize():
+    # scipy.optimize serves cq_ansatz_optimum alone, a check routine, and
+    # would be a fifth of the modules a fresh ``import memloss`` loads
+    src = os.path.dirname(os.path.dirname(entropy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, memloss; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

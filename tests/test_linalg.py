@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from memloss.linalg import (
     DensityMatrix,
     Evolver,
-    PureState,
     SubsystemLayout,
     fidelity,
     haar_state,
     haar_unitary,
+    hermiticity_deviation,
     kron,
     max_entangled,
     maximally_mixed,
@@ -48,10 +48,6 @@ class TestStates:
     def test_subnormalized_allowed(self):
         dm = DensityMatrix.single(np.diag([0.4, 0.3]))
         assert abs(dm.trace - 0.7) < 1e-12
-
-    def test_pure_norm(self):
-        with pytest.raises(ValueError):
-            PureState.single(np.array([1.0, 1.0]))
 
     def test_spectrum_descending(self):
         dm = DensityMatrix.single(np.diag([0.1, 0.6, 0.3]))
@@ -151,7 +147,7 @@ class TestDistances:
 
     def test_trace_norm_pure(self):
         v = haar_state(4, 0)
-        assert abs(trace_norm(v.density()) - 1.0) < 1e-12
+        assert abs(trace_norm(np.outer(v, v.conj())) - 1.0) < 1e-12
 
     def test_fidelity_pure_vs_mixed(self):
         ket0 = DensityMatrix.single(np.diag([1.0, 0.0]))
@@ -160,8 +156,8 @@ class TestDistances:
     def test_fidelity_pure_overlap(self):
         a = haar_state(3, 1)
         b = haar_state(3, 2)
-        ov = abs(np.vdot(a.amplitudes, b.amplitudes))
-        assert abs(fidelity(a, b) - ov) < 1e-10
+        ov = abs(np.vdot(a, b))
+        assert abs(fidelity(np.outer(a, a.conj()), np.outer(b, b.conj())) - ov) < 1e-10
 
     def test_purified_distance_scaling(self):
         # scaling a state down to (1 - eps^2) of its weight sits exactly at
@@ -194,8 +190,8 @@ class TestRandomStates:
     def test_haar_state_deterministic(self):
         a = haar_state(5, 42)
         b = haar_state(5, 42)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-12
+        assert np.array_equal(a, b)
+        assert abs(np.linalg.norm(a) - 1) < 1e-12
 
     def test_haar_unitary(self):
         u = haar_unitary(6, 3)
@@ -208,11 +204,87 @@ class TestRandomStates:
 
 class TestEmbedding:
     def test_max_entangled_reorder(self):
-        psi = max_entangled(4)
-        amp = psi.amplitudes.reshape(4, 4)
-        assert np.allclose(amp, np.eye(4) / 2)
+        # |Phi><Phi| has entries 1/d at ((i, i), (j, j)) and zeros elsewhere
+        rho = max_entangled(4).data.reshape(4, 4, 4, 4)
+        assert np.allclose(np.einsum("iijj->ij", rho), np.full((4, 4), 0.25))
+        assert abs(np.abs(rho).sum() - 4.0) < 1e-12
 
     def test_kron_vectors(self):
-        a = PureState.single(np.array([1.0, 0.0]))
-        b = PureState.single(np.array([0.0, 1.0]))
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         assert np.allclose(kron(a, b), [0, 1, 0, 0])
+
+
+def checked_inputs():
+    """One accepted input of each constructor that reads a matrix, an isometry
+    or a unit vector, as ``name: (build, array, what its check rejects)``."""
+    from scipy import sparse
+
+    from memloss.assignment import overlap_matrix
+    from memloss.channels import Channel
+    from memloss.dynamics import HamiltonianSpec
+
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = g + g.conj().T
+    u = haar_unitary(4, 1)
+    env = haar_state(2, 2)
+    phi = haar_state(2, 3)
+    return {
+        "density": (DensityMatrix.single, random_density(3, 4).data, "Hermitian"),
+        "hamiltonian": (lambda m: HamiltonianSpec.explicit(m, 2, 2), h, "Hermitian"),
+        "hamiltonian-sparse": (
+            lambda m: HamiltonianSpec.explicit(sparse.csr_array(m), 2, 2), h, "Hermitian"),
+        "omega_s": (lambda w: HamiltonianSpec.explicit(h, 2, 2, omega_s=w),
+                    u[:2, :1] / np.linalg.norm(u[:2, 0]), "orthonormal"),
+        "psi_e": (lambda v: HamiltonianSpec.explicit(h, 2, 2, psi_e=v), env, "normalized"),
+        "phi_s": (lambda v: HamiltonianSpec.explicit(h, 2, 2, phi_s=v), phi, "normalized"),
+        "kraus": (Channel.from_kraus, u[:, :2].reshape(2, 2, 2), "completeness"),
+        "stinespring-env": (lambda v: Channel.from_stinespring(v, u), env, "normalized"),
+        "stinespring-unitary": (lambda w: Channel.from_stinespring(env, w), u, "unitary"),
+        "overlap-eigenvectors": (lambda w: overlap_matrix(w, phi), u, "orthonormal"),
+        "overlap-phi": (lambda v: overlap_matrix(u, v), phi, "normalized"),
+        "overlap-e_basis": (lambda w: overlap_matrix(u, phi, w), haar_unitary(2, 5),
+                            "orthonormal"),
+    }
+
+
+class TestInputChecks:
+    """The shared checks of :mod:`memloss.linalg` at every constructor."""
+
+    def test_valid_inputs_accepted(self):
+        for build, arr, _ in checked_inputs().values():
+            build(arr)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(checked_inputs())),
+           st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans(), st.integers(0, 2**16))
+    def test_one_nonfinite_entry_rejected(self, case, bad, imaginary, position):
+        # a nan deviation passes ``deviation > tol``; every check is written
+        # so that it fails instead, whatever the entry and wherever it sits,
+        # and the check of that input fails first, not a later one
+        build, arr, what = checked_inputs()[case]
+        arr = np.array(arr, dtype=complex)
+        flat = arr.reshape(-1)
+        k = position % flat.size
+        flat[k] = complex(flat[k].real, bad) if imaginary else complex(bad, flat[k].imag)
+        with pytest.raises(ValueError, match=what):
+            build(arr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+           st.sampled_from([1e-12, 1.0, 1e6]))
+    def test_hermiticity_deviation_dense_and_sparse(self, d, seed, density, scale):
+        # one helper reads both matrix kinds; the sparse form stores only the
+        # nonzeros, and both give the same number
+        from scipy import sparse
+
+        rng = np.random.default_rng(seed)
+        g = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        g *= rng.random((d, d)) < density
+        for m in (g, g + g.conj().T):
+            dev = hermiticity_deviation(m)
+            assert hermiticity_deviation(sparse.csr_array(m)) == dev
+            want = np.abs(m - m.conj().T).max() / max(1.0, np.abs(m).max())
+            assert abs(dev - want) <= 1e-15 * max(1.0, want)
+        assert hermiticity_deviation(g + g.conj().T) == 0.0
