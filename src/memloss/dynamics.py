@@ -13,7 +13,6 @@ from .entropy import h_max_smooth, h_min_smooth
 from .linalg import (
     HERMITICITY_TOL,
     ISOMETRY_TOL,
-    PAULI,
     DensityMatrix,
     Evolver,
     SubsystemLayout,
@@ -26,8 +25,6 @@ from .linalg import (
 MEMORY_LOST = "memory_lost"
 MEMORY_RETAINED = "memory_retained"
 INCONCLUSIVE = "inconclusive"
-
-_SX, _SZ = PAULI[1], PAULI[3]
 
 
 @dataclass
@@ -48,14 +45,6 @@ class CriterionVerdict:
     epsilon: float
     verdict: str
     criterion: str = ""
-
-
-def _chain_term(op: np.ndarray, site: int, n: int) -> sparse.csr_array:
-    """``I (x) op (x) I`` on an n-qubit chain, ``op`` acting on the sites
-    from ``site`` on (one for a 2 x 2 op, two for a 4 x 4 one)."""
-    span = op.shape[0].bit_length() - 1
-    return sparse.kron(sparse.kron(sparse.eye_array(2 ** site), op),
-                       sparse.eye_array(2 ** (n - site - span)), format="csr")
 
 
 @dataclass(eq=False)
@@ -93,17 +82,21 @@ class HamiltonianSpec:
             raise ValueError("Hamiltonian dimension does not match layout")
         if not hermiticity_deviation(self.matrix) <= HERMITICITY_TOL:
             raise ValueError("Hamiltonian is not finite and Hermitian")
-        for attr in ("omega_s", "omega_e"):
+        for attr, dim in (("omega_s", self.d_s), ("omega_e", self.d_e)):
             iso = getattr(self, attr)
             if iso is not None:
                 iso = np.asarray(iso, dtype=complex)
+                if iso.ndim != 2 or iso.shape[0] != dim:
+                    raise ValueError(f"{attr} needs {dim} rows, got shape {iso.shape}")
                 if not isometry_deviation(iso) <= ISOMETRY_TOL:
                     raise ValueError(f"{attr} columns are not orthonormal")
                 setattr(self, attr, iso)
-        for attr in ("psi_e", "phi_s"):
+        for attr, dim in (("psi_e", self.d_e), ("phi_s", self.d_s)):
             vec = getattr(self, attr)
             if vec is not None:
                 vec = np.asarray(vec, dtype=complex).reshape(-1)
+                if vec.size != dim:
+                    raise ValueError(f"{attr} needs {dim} entries, got {vec.size}")
                 if not abs(np.linalg.norm(vec) - 1.0) <= 1e-10:
                     raise ValueError(f"{attr} is not normalized")
                 setattr(self, attr, vec)
@@ -160,19 +153,34 @@ class HamiltonianSpec:
             bond_couplings, dtype=float)
         if bonds.shape != (n_sites - 1,):
             raise ValueError("need one coupling per bond")
-        if model == "tfi":
-            bond, site, sign = kron(_SZ, _SZ), _SX, -1.0
-        elif model == "heisenberg":
-            bond = kron(_SX, _SX) + kron(PAULI[2], PAULI[2]) + kron(_SZ, _SZ)
-            site, sign = _SZ, 1.0
-        else:
+        if model not in ("tfi", "heisenberg"):
             raise ValueError(f"unknown model {model!r}")
-        dim = 2 ** n_sites
-        h = sparse.csr_array((dim, dim), dtype=complex)
+        # basis state k holds site i in bit n - 1 - i (site 0 leads): its Z
+        # eigenvalue is z[i, k] = +-1, and X flips it (k xor 1 << bit)
+        k = np.arange(2 ** n_sites)
+        bit = n_sites - 1 - np.arange(n_sites)
+        z = 1.0 - 2.0 * ((k >> bit[:, None]) & 1)
+        coupling = (-1.0 if model == "tfi" else 1.0) * j * bonds
+        diag = np.zeros(k.size)
         for b in range(n_sites - 1):
-            h = h + sign * j * bonds[b] * _chain_term(bond, b, n_sites)
-        for i in range(n_sites):
-            h = h - h_field * _chain_term(site, i, n_sites)
+            diag += coupling[b] * (z[b] * z[b + 1])
+        if model == "tfi":
+            rows = [k] * (n_sites + 1)
+            cols = [k] + [k ^ m for m in 1 << bit]
+            vals = [diag] + [np.full(k.size, -h_field)] * n_sites
+        else:
+            for i in range(n_sites):
+                diag -= h_field * z[i]
+            # XX + YY is 2 on the swap of a bond's two sites where they differ
+            flips = [k[z[b] != z[b + 1]] for b in range(n_sites - 1)]
+            rows = [k] + flips
+            cols = [k] + [f ^ (3 << bit[b + 1]) for b, f in enumerate(flips)]
+            vals = [diag] + [np.full(f.size, coupling[b] * 2.0) for b, f in enumerate(flips)]
+        vals = np.concatenate(vals)
+        keep = vals != 0   # a zero coupling or field stores no entries
+        h = sparse.coo_array((vals[keep], (np.concatenate(rows)[keep],
+                                           np.concatenate(cols)[keep])),
+                             shape=(k.size, k.size)).tocsr()
         layout = SubsystemLayout.of(("S", 2 ** ell), ("E", 2 ** (n_sites - ell)))
         meta = {"n_sites": n_sites, "s_sites": ell, "model": model,
                 "j": float(j), "h_field": float(h_field),

@@ -35,9 +35,11 @@ def spectrum_of(x) -> np.ndarray:
         lam = np.sort(a.real)[::-1]
     else:
         lam = np.linalg.eigvalsh(a)[::-1].real
-    if lam.size == 0 or lam.max(initial=0.0) <= 0.0:
-        raise ValueError("zero or empty spectrum")
-    if lam.min() < -EIGENVALUE_TOL * max(1.0, lam.max()):
+    # written so that a nan (whose comparisons are all false) fails them
+    top = lam.max(initial=0.0)
+    if not 0.0 < top < np.inf:
+        raise ValueError("spectrum is empty, zero or not finite")
+    if not -EIGENVALUE_TOL * max(1.0, top) <= lam.min():
         raise ValueError("negative eigenvalue beyond tolerance")
     return np.clip(lam, 0.0, None)
 

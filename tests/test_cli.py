@@ -177,6 +177,21 @@ class TestConfigHandling:
         args = build_parser().parse_args([command, path])
         assert set(load_config(path, args)) == fields | {"schema"}
 
+    @pytest.mark.parametrize("field, value", [
+        ("omega_s", [[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]]),
+        ("psi_e", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ])
+    def test_reference_dimension_mismatch_exits_2(self, tmp_path, capsys, field, value):
+        ham = spec_to_dict(HamiltonianSpec.explicit(np.diag([0.0, 1.0, 2.0, 3.0]), 2, 2,
+                                                    psi_e=np.eye(2)[0]))
+        ham[field] = value
+        out = tmp_path / "out.csv"
+        path = write_cfg(tmp_path / "c.json", hamiltonian=ham, times=[0.0, 1.0],
+                         output=str(out))
+        assert main(["criteria-scan", path]) == 2
+        assert f"error: bad hamiltonian: {field} needs 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOverrideFlags:
     @pytest.mark.parametrize("command", sorted(READS))

@@ -73,6 +73,15 @@ class TestSpecValidation:
             HamiltonianSpec.explicit(np.zeros((4, 4)), 2, 2,
                                      omega_s=np.ones((2, 2)))
 
+    @pytest.mark.parametrize("field", [
+        {"omega_s": np.eye(3)[:, :1]}, {"omega_e": np.eye(3)[:, :2]},
+        {"omega_s": np.eye(2)[0]}, {"psi_e": np.eye(3)[0]}, {"phi_s": np.eye(4)[0]}],
+        ids=["omega_s", "omega_e", "omega_s-vector", "psi_e", "phi_s"])
+    def test_reference_dimensions_enforced(self, field):
+        # a wrong size would otherwise pass until a matmul in the criteria
+        with pytest.raises(ValueError, match="needs 2"):
+            HamiltonianSpec.explicit(np.diag([0.0, 1.0, 2.0, 3.0]), 2, 2, **field)
+
     def test_chain_prefix_enforced(self):
         with pytest.raises(ValueError):
             HamiltonianSpec.spin_chain(4, [1, 2])
@@ -510,6 +519,8 @@ class TestChainEvolution:
     def test_stepped_chain_matches_dense_expm(self, case):
         spec, h, times = case
         assert np.abs(spec.matrix.toarray() - h).max() < 1e-14
+        n = spec.meta["n_sites"]
+        assert spec.matrix.nnz <= 2 ** n * (n + 1)
         d_s, d_e = spec.d_s, spec.d_e
         rho0s = (np.kron(np.eye(d_s) / d_s, np.outer(spec.psi_e, spec.psi_e.conj())),
                  np.kron(np.outer(spec.phi_s, spec.phi_s.conj()), np.eye(d_e) / d_e))
@@ -531,6 +542,16 @@ class TestChainEvolution:
             retained_margin = h_min_smooth(s, 0.05) - h_max_smooth(e, 0.05)
             assert (lost.verdict == MEMORY_LOST) == (lost_margin > 0)
             assert (retained.verdict == MEMORY_RETAINED) == (retained_margin > 0)
+
+    def test_long_step_matches_dense_expm(self):
+        # the row-sum bound is a = 18.9, so the step of dt = 3 is one
+        # Chebyshev series of 107 terms (z = 56.7)
+        spec = HamiltonianSpec.spin_chain(8, 3, model="heisenberg", j=0.9,
+                                          h_field=-0.6, psi_e=np.eye(32)[0])
+        x0 = _tau_columns(spec)
+        u = expm(-3j * dense_chain(8, "heisenberg", 0.9, -0.6, np.ones(7)))
+        y = next(spec.evolver.evolve(x0, [3.0]))
+        assert np.abs(y - u @ x0).max() < 1e-12
 
     def test_time_zero_returns_initial_columns(self):
         spec = HamiltonianSpec.spin_chain(6, 2, psi_e=np.eye(16)[0])

@@ -7,6 +7,7 @@ from memloss.linalg import (
     DensityMatrix,
     Evolver,
     SubsystemLayout,
+    chebyshev_coefficients,
     fidelity,
     haar_state,
     haar_unitary,
@@ -115,6 +116,25 @@ class TestEvolution:
         assert next(ev.evolve(x0, [0.0])) is x0
         assert ev.apply(x0, 0.0) is x0
         assert np.abs(ev.unitary(0.9) - expm(-0.9j * h.toarray())).max() < 1e-12
+
+    def test_subnormal_hamiltonian_takes_one_term(self):
+        # a z = a dt below 1e-16 gives the single term cos z = 1, with no 1/a
+        from scipy import sparse
+        h = sparse.csr_array(np.array([[0.0, 5e-324], [5e-324, 0.0]]))
+        x0 = np.eye(2, dtype=complex)[:, :1]
+        y = Evolver(h).apply(x0, 1.0)
+        assert y is not x0 and np.array_equal(y, x0)
+
+    @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-8, 0.3, 5.0, 14.5, 120.0, -7.5])
+    def test_chebyshev_coefficients_are_bessel(self, z):
+        from scipy.special import jv
+        c = chebyshev_coefficients(z)
+        k = np.arange(c.size)
+        want = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z)
+        assert np.abs(c - want).max() < 1e-13
+        assert (c.size == 1) == (abs(z) < 1e-16)
+        # the terms left out sum to less than the stated 2e-16
+        assert 2 * np.abs(jv(np.arange(c.size, c.size + 100), z)).sum() < 2e-16
 
 
 class TestDistances:
