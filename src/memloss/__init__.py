@@ -12,7 +12,7 @@ from .assignment import (
     spec_delta_phi,
     verify_absence,
 )
-from .channels import Channel, ChoiState, Stinespring, depolarizing, iid_threshold
+from .channels import Channel, ChoiState, depolarizing, iid_threshold
 from .decoupling import (
     ConcentrationResult,
     ConverseResult,
@@ -42,12 +42,10 @@ from .dynamics import (
     tilde_tau_SE,
 )
 from .entropy import (
-    EntropyReport,
     SdpResult,
     chain_bounds,
     cq_ansatz_optimum,
     default_chain_correction,
-    entropy_report,
     h_max,
     h_max_smooth,
     h_min,

@@ -15,16 +15,7 @@ from .linalg import (
     SubsystemLayout,
     as_matrix,
     isometry_deviation,
-    kron,
 )
-
-
-@dataclass(frozen=True)
-class Stinespring:
-    """Dilation data: environment unit vector and joint unitary on S (x) E."""
-
-    env_state: np.ndarray
-    joint_unitary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -36,29 +27,16 @@ class ChoiState:
 
 
 class Channel:
-    """CPTP map stored as one Kraus array ``(r, d_out, d_in)``, with its
-    Stinespring dilation if given.
+    """CPTP map stored as one Kraus array ``(r, d_out, d_in)``.
 
-    Channels are immutable values: a dilation's Kraus array is derived once,
-    at construction, and everything else is read from that array.
+    Channels are immutable values: everything, the Stinespring dilation
+    included, is read from that array.
     """
 
-    def __init__(self, *, kraus=None, stinespring: Stinespring | None = None,
-                 name: str = ""):
-        if kraus is None and stinespring is None:
-            raise ValueError("channel needs a Kraus list or a Stinespring dilation")
+    def __init__(self, *, kraus=None, name: str = ""):
+        if kraus is None:
+            raise ValueError("channel needs a Kraus array")
         self.name = name
-        self.stinespring = stinespring
-        if stinespring is not None:
-            u = np.asarray(stinespring.joint_unitary, dtype=complex)
-            d = u.shape[0]
-            if not isometry_deviation(u.conj().T) <= ISOMETRY_TOL:
-                raise ValueError("Stinespring joint operator is not unitary")
-            if kraus is None:
-                # K_i[s_out, s_in] = sum_e U[(s_out, i), (s_in, e)] psi[e]
-                psi = stinespring.env_state
-                u4 = u.reshape(d // len(psi), len(psi), d // len(psi), len(psi))
-                kraus = np.einsum("aibe,e->iab", u4, psi)
         ks = np.asarray(kraus, dtype=complex)
         if ks.ndim != 3 or min(ks.shape) < 1:
             raise ValueError(f"Kraus operators of shape {ks.shape}, not (r, d_out, d_in)")
@@ -83,14 +61,20 @@ class Channel:
     @classmethod
     def from_stinespring(cls, env_state, joint_unitary,
                          name: str = "") -> "Channel":
+        """``rho -> tr_E U (rho (x) |psi><psi|) U^dag``, stored as its Kraus
+        operators ``K_i = (I (x) <i|) U (I (x) |psi>)``."""
         psi = np.asarray(env_state, dtype=complex).reshape(-1)
         if not abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL:
             raise ValueError("environment state is not normalized")
         u = np.asarray(joint_unitary, dtype=complex)
         if u.shape[0] % len(psi):
             raise ValueError("joint unitary dimension not divisible by env dim")
-        dil = Stinespring(env_state=psi, joint_unitary=u)
-        return cls(stinespring=dil, name=name)
+        if not isometry_deviation(u.conj().T) <= ISOMETRY_TOL:
+            raise ValueError("Stinespring joint operator is not unitary")
+        # K_i[s_out, s_in] = sum_e U[(s_out, i), (s_in, e)] psi[e]
+        d = u.shape[0] // len(psi)
+        u4 = u.reshape(d, len(psi), d, len(psi))
+        return cls(kraus=np.einsum("aibe,e->iab", u4, psi), name=name)
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
@@ -109,15 +93,22 @@ class Channel:
             out += k @ rho @ k.conj().T
         return out
 
-    def dilation_state(self, rho_s) -> DensityMatrix:
-        """Joint S (x) E state after the dilation unitary (no partial trace)."""
-        if self.stinespring is None:
-            raise ValueError("channel has no Stinespring representation")
-        psi = self.stinespring.env_state
-        joint = kron(rho_s, np.outer(psi, psi.conj()))
-        u = self.stinespring.joint_unitary
-        layout = SubsystemLayout.of(("S", self.input_dim), ("E", len(psi)))
-        return DensityMatrix(u @ joint @ u.conj().T, layout)
+    def dilation_state(self, rho) -> DensityMatrix:
+        """``V rho V^dag`` on [S, E] (no partial trace), E of dimension r.
+
+        ``V = sum_k K_k (x) |k>_E`` is the Stinespring isometry of the Kraus
+        array, so ``tr_E`` gives :meth:`apply` and ``tr_S`` the
+        complementary channel.  For a channel built from a dilation
+        ``(psi, U)`` this is ``U (rho (x) |psi><psi|) U^dag``, as
+        ``U (|s> (x) psi) = sum_i K_i |s> (x) |i>``.
+        """
+        rho = as_matrix(rho)
+        if rho.shape != (self.input_dim, self.input_dim):
+            raise ValueError("input dimension mismatch")
+        r, d_out, d_in = self.kraus.shape
+        v = self.kraus.transpose(1, 0, 2).reshape(d_out * r, d_in)
+        layout = SubsystemLayout.of(("S", d_out), ("E", r))
+        return DensityMatrix(v @ rho @ v.conj().T, layout)
 
     # -- Choi ---------------------------------------------------------------
 
@@ -153,27 +144,26 @@ class Channel:
 
 
 def depolarizing(p: float) -> Channel:
-    """Qubit depolarizing channel built from its four-level dilation.
+    """Qubit depolarizing channel, Kraus operators ``sqrt(w_a) sigma_a`` with
+    ``w = (1 - p, p/3, p/3, p/3)``.
 
-    ``|psi>_E = sqrt(1-p)|0> + sum_i sqrt(p/3)|i>`` with the controlled-Pauli
-    joint unitary ``U = sum_a sigma_a (x) |a><a|_E``.
+    Its dilation has ``|psi>_E = sum_a sqrt(w_a) |a>`` and the
+    controlled-Pauli joint unitary ``U = sum_a sigma_a (x) |a><a|_E``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    env = np.array([np.sqrt(1.0 - p)] + [np.sqrt(p / 3.0)] * 3, dtype=complex)
-    u = np.zeros((8, 8), dtype=complex)
-    u4 = u.reshape(2, 4, 2, 4)
-    for a in range(4):
-        u4[:, a, :, a] = PAULI[a]
-    return Channel.from_stinespring(env, u, name=f"depolarizing({p})")
+    w = np.array([1.0 - p] + [p / 3.0] * 3)
+    return Channel.from_kraus(np.sqrt(w)[:, None, None] * PAULI, name=f"depolarizing({p})")
 
 
 def iid_threshold(family, lo: float = 0.0, hi: float = 1.0,
                   tol: float = 1e-6) -> float:
-    """Root of ``H(S)_tau - H(E)_tau`` over a one-parameter dilation family.
+    """Root of ``H(S)_tau - H(E)_tau`` over a one-parameter channel family.
 
-    ``tau_SE`` is the dilated state of the maximally mixed input; the root is
-    found by bisection (monotonicity is not assumed).
+    ``family(p)`` is any :class:`Channel`; ``tau_SE`` is its dilation
+    (:meth:`Channel.dilation_state`) of the maximally mixed input, so the
+    gap is ``H(T(pi)) - H(T^c(pi))``.  The root is found by bisection
+    (monotonicity is not assumed).
     """
 
     def gap(p: float) -> float:

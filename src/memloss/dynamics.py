@@ -456,19 +456,22 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
     """
     if spec.layout.dim > 64:
         raise ValueError("recurrence scan limited to total dimension <= 64")
-    tau0 = tau_SE(spec, 0.0)
     grid = []
     t = step
     while t <= t_max + 1e-12:
         grid.append(t)
         t += step
+    # the reference is the t = 0 state of the same evolution
+    states = spec.evolver.evolve(_tau_columns(spec), [0.0] + grid)
+    y0 = next(states)
+    tau0 = y0 @ y0.conj().T
     best, best_t = np.inf, 0.0
-    for t, y in zip(grid, spec.evolver.evolve(_tau_columns(spec), grid)):
+    for t, y in zip(grid, states):
         dist = trace_distance(y @ y.conj().T, tau0)
         if dist < best:
             best, best_t = dist, t
         if dist < tol:
-            _, retained = system_criteria(spec, t, eps)
+            _, retained = _criteria(spec, y, t, eps, 0.0)
             return RecurrenceScan(t_rec=float(t), distance_at_rec=float(dist),
                                   min_distance=float(best), argmin_time=float(best_t),
                                   verdict_at_rec=retained)

@@ -15,7 +15,7 @@ Criterion consumers can use both conservatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -449,30 +449,3 @@ def chain_bounds(rho: DensityMatrix, eps: float, correction=None) -> tuple[float
     bound1 = h_min_smooth(rho, eps) - float(np.log2(d_b))
     bound2 = h_min_smooth(rho, eps / 4.0) - h_max_smooth(marg_b, eps / 4.0) - corr(eps)
     return bound1, bound2
-
-
-@dataclass
-class EntropyReport:
-    """Entropy bundle for one marginal at one time."""
-
-    h_min: float
-    h_max: float
-    von_neumann: float
-    h_min_smooth: float
-    h_max_smooth: float
-    epsilon: float
-    subject: tuple[str, ...] = field(default_factory=tuple)
-
-
-def entropy_report(rho: DensityMatrix, eps: float,
-                   subject: tuple[str, ...] | None = None) -> EntropyReport:
-    lam = spectrum_of(rho)
-    return EntropyReport(
-        h_min=h_min(lam),
-        h_max=h_max(lam),
-        von_neumann=von_neumann(lam),
-        h_min_smooth=h_min_smooth(lam, eps),
-        h_max_smooth=h_max_smooth(lam, eps),
-        epsilon=eps,
-        subject=tuple(subject) if subject is not None else rho.layout.names,
-    )

@@ -232,6 +232,8 @@ def chebyshev_coefficients(z: float) -> np.ndarray:
 class Evolver:
     """``U(t) = exp(-iHt)`` applied to blocks of state columns.
 
+    :meth:`evolve` is the one evolution routine of each path; :meth:`apply`
+    is its single-time case and :meth:`unitary` that case on the identity.
     The type of ``h`` picks the path.  A dense Hamiltonian is diagonalized
     once, and every time is assembled from its eigenpairs.  A sparse one is
     never diagonalized: ``exp(-iH dt)`` acts on the columns as the Chebyshev
@@ -256,11 +258,8 @@ class Evolver:
             self.eigenvalues, self.eigenvectors = hermitian_eig(h)
 
     def unitary(self, t: float) -> np.ndarray:
-        if self.hamiltonian is not None:
-            return self.apply(np.eye(self.hamiltonian.shape[0], dtype=complex), t)
-        phases = np.exp(-1j * self.eigenvalues * t)
-        v = self.eigenvectors
-        return (v * phases) @ v.conj().T
+        d = len(self.eigenvalues) if self.hamiltonian is None else self.hamiltonian.shape[0]
+        return self.apply(np.eye(d, dtype=complex), t)
 
     def apply(self, x0: np.ndarray, t: float) -> np.ndarray:
         """``U(t) @ x0`` for a block of columns, without forming ``U(t)``.
@@ -269,23 +268,22 @@ class Evolver:
         O(d^2 r) cost (dense) or O(nnz(H) r) per Chebyshev term (sparse)
         instead of the O(d^3) of ``U rho U^dag``.
         """
-        if self.hamiltonian is not None:
-            return self._step(x0, t)
-        phases = np.exp(-1j * self.eigenvalues * t)
-        v = self.eigenvectors
-        return v @ (phases[:, None] * (v.conj().T @ x0))
+        return next(self.evolve(x0, (t,)))
 
     def evolve(self, x0: np.ndarray, times):
         """Yields ``U(t) @ x0`` for each t of ``times``, in their order.
 
-        The sparse path steps the columns from the previous time by
-        ``t_k - t_{k-1}``, so a scan costs one short step per time, not one
-        evolution from 0; a time equal to the previous one (0 first of all)
-        yields the columns unchanged.
+        The dense path projects ``x0`` on the eigenbasis once and applies
+        the phases of each time to that.  The sparse path steps the columns
+        from the previous time by ``t_k - t_{k-1}``, so a scan costs one
+        short step per time, not one evolution from 0; a time equal to the
+        previous one (0 first of all) yields the columns unchanged.
         """
         if self.hamiltonian is None:
+            v = self.eigenvectors
+            coeffs = v.conj().T @ x0
             for t in times:
-                yield self.apply(x0, t)
+                yield v @ (np.exp(-1j * self.eigenvalues * t)[:, None] * coeffs)
             return
         y, prev = x0, 0.0
         for t in times:
@@ -401,14 +399,14 @@ def random_density(d: int, seed=None, rank: int | None = None, name: str = "A") 
     return DensityMatrix.single(m / m.trace().real, name)
 
 
-def max_entangled(d: int, names: tuple[str, str] = ("A", "B")) -> DensityMatrix:
+def max_entangled(d: int) -> DensityMatrix:
     """``|Phi><Phi|``, ``|Phi> = d^{-1/2} sum_i |i>|i>`` on two d-dim factors."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
     return DensityMatrix(np.outer(v, v.conj()),
-                         SubsystemLayout.of((names[0], d), (names[1], d)))
+                         SubsystemLayout.of(("A", d), ("B", d)))
 
 
-def maximally_mixed(d: int, name: str = "A") -> DensityMatrix:
-    return DensityMatrix.single(np.eye(d, dtype=complex) / d, name)
+def maximally_mixed(d: int) -> DensityMatrix:
+    return DensityMatrix.single(np.eye(d, dtype=complex) / d)

@@ -115,10 +115,9 @@ class TestConstruction:
     def test_dilation_kraus_match_contraction(self):
         # K_i = (I (x) <i|) U (I (x) |psi>), contracted independently
         d_s, d_e = 3, 4
-        ch = random_dilation(d_s, d_e, 7)
-        u = ch.stinespring.joint_unitary.reshape(d_s, d_e, d_s, d_e)
-        psi = ch.stinespring.env_state
-        want = np.einsum("aibe,e->iab", u, psi)
+        psi, u = haar_state(d_e, 7), haar_unitary(d_s * d_e, 8)
+        ch = Channel.from_stinespring(psi, u)
+        want = np.einsum("aibe,e->iab", u.reshape(d_s, d_e, d_s, d_e), psi)
         assert np.allclose(np.array(ch.kraus), want, atol=1e-14)
         rho = random_density(d_s, 8).data
         ref = sum(k @ rho @ k.conj().T for k in want)
@@ -150,6 +149,36 @@ class TestActions:
     def test_input_dim_checked(self):
         with pytest.raises(ValueError):
             depolarizing(0.1).apply(np.eye(3) / 3)
+        with pytest.raises(ValueError, match="input dimension"):
+            depolarizing(0.1).dilation_state(np.eye(3) / 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_kraus_dilation(self, d_in, d_out, rank, seed):
+        # any Kraus channel dilates: tr_E gives the channel, and at the flat
+        # input the E marginal is, by purification, the Choi state's spectrum
+        ch = random_isometry_channel(d_in, d_out, rank, seed)
+        r = len(ch.kraus)
+        rho = random_density(d_in, seed).data
+        tau = ch.dilation_state(rho)
+        assert tau.layout.factors == (("S", d_out), ("E", r))
+        assert np.abs(tau.marginal("S").data - ch.apply(rho)).max() < 1e-12
+        env = ch.dilation_state(maximally_mixed(d_in)).marginal("E").spectrum()
+        joint, _ = ch.choi_spectra()
+        assert np.abs(np.pad(joint, (0, r - joint.size)) - env).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_dilation_matches_joint_unitary(self, d_s, d_e, seed):
+        # the Stinespring isometry of the Kraus array against the dilation
+        # it was contracted from: U (rho (x) |psi><psi|) U^dag
+        psi, u = haar_state(d_e, seed), haar_unitary(d_s * d_e, seed + 1)
+        rho = random_density(d_s, seed + 2).data
+        want = u @ kron(rho, np.outer(psi, psi.conj())) @ u.conj().T
+        tau = Channel.from_stinespring(psi, u).dilation_state(rho)
+        assert tau.layout.factors == (("S", d_s), ("E", d_e))
+        assert np.abs(tau.data - want).max() < 1e-12
 
     def test_dilation_state_marginals(self):
         ch = depolarizing(0.25)
@@ -241,6 +270,15 @@ class TestThreshold:
 
         assert gap(p_c - 0.02) > 0.07
         assert gap(p_c + 0.02) < -0.07
+
+    def test_kraus_family_root(self):
+        # amplitude damping: T(pi) = diag(1 + g, 1 - g)/2 and the
+        # complementary output diag(2 - g, g)/2 have equal entropy at g = 1/2
+        def damping(g):
+            return Channel.from_kraus([[[1.0, 0.0], [0.0, np.sqrt(1.0 - g)]],
+                                       [[0.0, np.sqrt(g)], [0.0, 0.0]]])
+
+        assert abs(iid_threshold(damping) - 0.5) < 1e-6
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError):

@@ -304,6 +304,23 @@ class TestRecurrence:
         assert scan.min_distance > 1e-8
         assert 0 < scan.argmin_time <= 3.0
 
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_reference_and_verdict_from_the_scan(self, chain):
+        # a complex psi_e and a tolerance the first grid time meets: the
+        # distance is to tau_SE(0), and the verdict is that of tau_SE(t_rec)
+        psi_e = haar_state(4, 51)
+        spec = (HamiltonianSpec.spin_chain(3, 1, model="heisenberg", psi_e=psi_e) if chain
+                else HamiltonianSpec.explicit(random_hermitian(8, np.random.default_rng(50)),
+                                              2, 4, psi_e=psi_e))
+        scan = recurrence_scan(spec, 1.0, 0.3, tol=2.5)
+        assert scan.t_rec == 0.3
+        want = trace_distance(tau_SE(spec, 0.3), tau_SE(spec, 0.0))
+        assert want > 0.1
+        assert scan.distance_at_rec == pytest.approx(want, abs=1e-12)
+        _, retained = system_criteria(spec, 0.3)
+        assert scan.verdict_at_rec.lhs == pytest.approx(retained.lhs, abs=1e-12)
+        assert scan.verdict_at_rec.rhs == pytest.approx(retained.rhs, abs=1e-12)
+
     def test_dimension_limit(self):
         spec = HamiltonianSpec.explicit(np.zeros((128, 128)), 32, 4,
                                         psi_e=np.eye(4)[0])

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from memloss import entropy
 from memloss.channels import Channel, depolarizing
 from memloss.entropy import (
-    EntropyReport,
     _smooth_target,
     chain_bounds,
     cq_ansatz_optimum,
     default_chain_correction,
-    entropy_report,
     h_max,
     h_max_smooth,
     h_max_smooth_oracle,
@@ -613,15 +611,15 @@ class TestChainBounds:
 
 class TestReport:
     def test_fields(self):
-        rep = entropy_report(maximally_mixed(4), 0.05, subject=("S",))
-        assert isinstance(rep, EntropyReport)
-        assert rep.subject == ("S",)
-        assert rep.h_min <= rep.von_neumann + 1e-10 <= rep.h_max + 2e-10
-        assert rep.h_min_smooth >= rep.h_min
-        assert rep.h_max_smooth <= rep.h_max
+        rho = maximally_mixed(4)
+        hmin, hmax, vn = h_min(rho), h_max(rho), von_neumann(rho)
+        hmin_s, hmax_s = h_min_smooth(rho, 0.05), h_max_smooth(rho, 0.05)
+        assert hmin <= vn + 1e-10 <= hmax + 2e-10
+        assert hmin_s >= hmin
+        assert hmax_s <= hmax
         boost = np.log2(1 / (1 - 0.05**2))
-        assert -boost - 1e-9 <= rep.h_max_smooth
-        assert rep.h_min_smooth <= 2.0 + boost + 1e-9
+        assert -boost - 1e-9 <= hmax_s
+        assert hmin_s <= 2.0 + boost + 1e-9
 
 
 def test_import_leaves_out_scipy_optimize():
