@@ -45,7 +45,6 @@ from .entropy import (
     SdpResult,
     chain_bounds,
     cq_ansatz_optimum,
-    default_chain_correction,
     h_max,
     h_max_smooth,
     h_min,

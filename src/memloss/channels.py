@@ -23,7 +23,6 @@ class ChoiState:
     """Choi representation with layout [A', B]; tr_B equals pi_{A'}."""
 
     state: DensityMatrix
-    source: str = ""
 
 
 class Channel:
@@ -33,10 +32,7 @@ class Channel:
     included, is read from that array.
     """
 
-    def __init__(self, *, kraus=None, name: str = ""):
-        if kraus is None:
-            raise ValueError("channel needs a Kraus array")
-        self.name = name
+    def __init__(self, kraus):
         ks = np.asarray(kraus, dtype=complex)
         if ks.ndim != 3 or min(ks.shape) < 1:
             raise ValueError(f"Kraus operators of shape {ks.shape}, not (r, d_out, d_in)")
@@ -55,12 +51,11 @@ class Channel:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_kraus(cls, kraus, name: str = "") -> "Channel":
-        return cls(kraus=kraus, name=name)
+    def from_kraus(cls, kraus) -> "Channel":
+        return cls(kraus)
 
     @classmethod
-    def from_stinespring(cls, env_state, joint_unitary,
-                         name: str = "") -> "Channel":
+    def from_stinespring(cls, env_state, joint_unitary) -> "Channel":
         """``rho -> tr_E U (rho (x) |psi><psi|) U^dag``, stored as its Kraus
         operators ``K_i = (I (x) <i|) U (I (x) |psi>)``."""
         psi = np.asarray(env_state, dtype=complex).reshape(-1)
@@ -74,12 +69,12 @@ class Channel:
         # K_i[s_out, s_in] = sum_e U[(s_out, i), (s_in, e)] psi[e]
         d = u.shape[0] // len(psi)
         u4 = u.reshape(d, len(psi), d, len(psi))
-        return cls(kraus=np.einsum("aibe,e->iab", u4, psi), name=name)
+        return cls(np.einsum("aibe,e->iab", u4, psi))
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
         """Identity channel: one Kraus operator, a view of ``I_d`` (no copy)."""
-        return cls(kraus=np.eye(d, dtype=complex)[None], name=f"identity({d})")
+        return cls(np.eye(d, dtype=complex)[None])
 
     # -- actions ------------------------------------------------------------
 
@@ -122,8 +117,7 @@ class Channel:
         ks = self.kraus
         vecs = ks.transpose(0, 2, 1).reshape(len(ks), -1) / np.sqrt(self.input_dim)
         layout = SubsystemLayout.of(("A'", self.input_dim), ("B", self.output_dim))
-        return ChoiState(state=DensityMatrix(vecs.T @ vecs.conj(), layout),
-                         source=self.name)
+        return ChoiState(state=DensityMatrix(vecs.T @ vecs.conj(), layout))
 
     def choi_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues, descending, of the Choi state (its nonzero part) and of
@@ -153,7 +147,7 @@ def depolarizing(p: float) -> Channel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     w = np.array([1.0 - p] + [p / 3.0] * 3)
-    return Channel.from_kraus(np.sqrt(w)[:, None, None] * PAULI, name=f"depolarizing({p})")
+    return Channel.from_kraus(np.sqrt(w)[:, None, None] * PAULI)
 
 
 def iid_threshold(family, lo: float = 0.0, hi: float = 1.0,

@@ -157,15 +157,14 @@ def _channel_of(cfg: dict) -> Channel:
         raise ConfigError("channel must be a Kraus file path or an object")
     try:
         if isinstance(spec, str):
-            return Channel.from_kraus(load_kraus_file(spec), name=spec)
+            return Channel.from_kraus(load_kraus_file(spec))
         name = spec.get("builtin")
         if name == "depolarizing":
             return depolarizing(float(spec["p"]))
         if name == "identity":
             return Channel.identity(int(spec["d"]))
         if "kraus_file" in spec:
-            return Channel.from_kraus(load_kraus_file(spec["kraus_file"]),
-                                      name=spec["kraus_file"])
+            return Channel.from_kraus(load_kraus_file(spec["kraus_file"]))
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad channel: {exc}") from exc
     raise ConfigError(f"unrecognized channel description {spec!r}")

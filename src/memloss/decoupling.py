@@ -67,7 +67,7 @@ def avg_output_distance(ch: Channel, n_samples: int, seed: int):
 class DecouplingBound:
     sdp_bits: float      # H_min(A'|B) of the Choi state
     sdp_bound: float     # 2^{-sdp_bits/2}
-    chain_bits: float    # best chain-rule lower bound on H_min(A'|B)
+    chain_bits: float    # chain-rule lower bound on H_min(A'|B)
     chain_bound: float   # 2^{-chain_bits/2} (weaker, for comparison)
 
 
@@ -76,8 +76,8 @@ def decoupling_bound(ch: Channel, eps: float = 0.0) -> DecouplingBound:
 
     At ``eps = 0`` the bound is sound as stated (the smoothed entropy is at
     least the unsmoothed one, and the additive error term vanishes).  The
-    chain-rule variant replaces the conditional entropy with the best of the
-    subtraction bounds and is strictly weaker.
+    chain-rule variant replaces the conditional entropy with the lower bound
+    ``H_min(A'B) - log2 d_B`` and is never tighter.
     """
     # checked before the Choi state is built: it is dense in (d_A d_B)^2
     n = ch.input_dim * ch.output_dim
@@ -85,8 +85,7 @@ def decoupling_bound(ch: Channel, eps: float = 0.0) -> DecouplingBound:
         raise ValueError(f"dimension {n} exceeds solver envelope {SDP_MAX_DIM}")
     choi = ch.choi().state
     bits = h_min_cond(choi, eps=eps)
-    b1, b2 = chain_bounds(choi, eps)
-    chain_bits = max(b1, b2)
+    chain_bits = chain_bounds(choi, eps)
     return DecouplingBound(
         sdp_bits=bits, sdp_bound=float(2.0 ** (-0.5 * bits)),
         chain_bits=chain_bits, chain_bound=float(2.0 ** (-0.5 * chain_bits)))
@@ -213,7 +212,6 @@ class DecouplingReport:
     bound_bits: float
     chain_bound: float
     tail: dict = field(default_factory=dict)  # delta -> ConcentrationResult
-    converse: ConverseResult | None = None
     seed: int = 0
 
     def to_json(self) -> str:
@@ -229,7 +227,6 @@ class DecouplingReport:
                               "vacuous": r.vacuous,
                               "passed": r.passed}
                      for d, r in self.tail.items()},
-            "converse_holds": None if self.converse is None else self.converse.fires,
             "seed": self.seed,
         }
         return json.dumps(obj, indent=2, sort_keys=True)
@@ -247,4 +244,4 @@ def decoupling_report(ch: Channel, n_samples: int = 200, seed: int = 0,
                             empirical_std=std, bound=bounds.sdp_bound,
                             bound_bits=bounds.sdp_bits,
                             chain_bound=bounds.chain_bound,
-                            tail=tail, converse=None, seed=seed)
+                            tail=tail, seed=seed)

@@ -450,19 +450,19 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
                     tol: float = 1e-6, eps: float = 0.05) -> RecurrenceScan:
     """Scan for the first return of ``tau_SE(t)`` to its initial state.
 
-    Absence of a recurrence within the horizon is a valid result
-    (``t_rec = None``).  When one is found, the memory-retained verdict at
-    that time is attached.
+    The grid is ``step * k`` for ``k = 1, 2, ...`` up to ``t_max``, which a
+    relative rounding slack of 1e-9 keeps on the grid.  Absence of a
+    recurrence within the horizon is a valid result (``t_rec = None``).
+    When one is found, the memory-retained verdict at that time is attached.
     """
     if spec.layout.dim > 64:
         raise ValueError("recurrence scan limited to total dimension <= 64")
-    grid = []
-    t = step
-    while t <= t_max + 1e-12:
-        grid.append(t)
-        t += step
+    if not 0.0 < step <= t_max:
+        raise ValueError("recurrence grid needs 0 < step <= t_max")
+    # np.arange refuses an infinite count (a step of 1e-310) with ValueError
+    grid = step * np.arange(1.0, np.floor(t_max / step * (1.0 + 1e-9)) + 1.0)
     # the reference is the t = 0 state of the same evolution
-    states = spec.evolver.evolve(_tau_columns(spec), [0.0] + grid)
+    states = spec.evolver.evolve(_tau_columns(spec), [0.0, *grid])
     y0 = next(states)
     tau0 = y0 @ y0.conj().T
     best, best_t = np.inf, 0.0

@@ -23,6 +23,7 @@ from scipy import linalg
 from .linalg import EIGENVALUE_TOL, DensityMatrix, as_matrix
 
 SDP_MAX_DIM = 256
+SDP_GAP_TOL = 1e-7     # duality gap on tr sigma at which the solve stops
 SDP_STAGE_STEPS = 60   # Newton steps per centering stage before it gives up
 
 
@@ -272,13 +273,12 @@ def _newton_system(chol: np.ndarray, d_a: int, d_b: int,
     return 0.5 * (grad + grad.conj().T), hess.reshape(d_b * d_b, d_b * d_b)
 
 
-def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
-                    max_dim: int = SDP_MAX_DIM) -> SdpResult:
+def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
     """Conditional min-entropy of a bipartite state via barrier Newton.
 
     The start ``sigma = (lambda_max(rho) + 0.1) I_B`` is strictly feasible;
     the barrier parameter is grown until the duality gap on ``tr sigma``
-    is below ``gap_tol``.  Each centering stage stops once half the Newton
+    is below ``SDP_GAP_TOL``.  Each centering stage stops once half the Newton
     decrement is below ``max(1e-11, 1e-13 |f|)``, the rounding floor of the
     barrier value f, which grows with t; a stage that runs out its
     ``SDP_STAGE_STEPS`` steps, or whose line search fails, clears
@@ -288,8 +288,8 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
     n = d_a * d_b
     if rho.shape != (n, n):
         raise ValueError("state dimension does not match d_a * d_b")
-    if n > max_dim:
-        raise ValueError(f"dimension {n} exceeds solver envelope {max_dim}")
+    if n > SDP_MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds solver envelope {SDP_MAX_DIM}")
 
     eye_a = np.eye(d_a)
 
@@ -335,7 +335,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
             steps += 1
         else:
             converged = False
-        if n / t <= gap_tol:
+        if n / t <= SDP_GAP_TOL:
             break
         t *= 20.0
 
@@ -344,7 +344,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int, gap_tol: float = 1e-7,
                      converged=converged, newton_steps=steps)
 
 
-def h_min_cond(rho: DensityMatrix, eps: float = 0.0, gap_tol: float = 1e-7) -> float:
+def h_min_cond(rho: DensityMatrix, eps: float = 0.0) -> float:
     """``H_min(A|B)`` of a two-factor state, conditioning on the second factor.
 
     For ``eps > 0`` the value is improved over the restricted family
@@ -356,7 +356,7 @@ def h_min_cond(rho: DensityMatrix, eps: float = 0.0, gap_tol: float = 1e-7) -> f
     if len(rho.layout.factors) != 2:
         raise ValueError("h_min_cond expects a two-factor layout [A, B]")
     d_a, d_b = rho.layout.dims
-    result = min_entropy_sdp(rho.data, d_a, d_b, gap_tol=gap_tol)
+    result = min_entropy_sdp(rho.data, d_a, d_b)
     if not result.converged:
         raise RuntimeError(f"conditional min-entropy SDP did not converge "
                            f"({result.newton_steps} Newton steps, gap {result.gap:.1e})")
@@ -425,27 +425,13 @@ def cq_ansatz_optimum(n: int, eps: float) -> float:
     return float(-np.log2(res.fun))
 
 
-def default_chain_correction(eps: float) -> float:
-    """Default stand-in for the unspecified O(log 1/eps) chain-rule constant."""
-    if eps == 0.0:
-        return 0.0
-    return float(2.0 * np.log2(2.0 / eps))
+def chain_bounds(rho: DensityMatrix, eps: float) -> float:
+    """Chain-rule lower bound ``H_min^eps(AB) - log2 d_B`` on ``H_min^eps(A|B)``.
 
-
-def chain_bounds(rho: DensityMatrix, eps: float, correction=None) -> tuple[float, float]:
-    """Two lower bounds on ``H_min^eps(A|B)`` from unconditional quantities.
-
-    bound1: ``H_min^eps(AB) - log2 d_B``.
-    bound2: ``H_min^{eps/4}(AB) - H_max^{eps/4}(B) - corr(eps)`` where the
-    correction constant is caller-supplied (default
-    :func:`default_chain_correction`).
+    A state ``rho'_AB <= m I_AB`` in the smoothing ball has
+    ``rho'_AB <= I_A (x) m I_B``, a feasible point of the conditional SDP of
+    trace ``m d_B``, so the bound needs only the joint spectrum.
     """
     if len(rho.layout.factors) != 2:
         raise ValueError("chain_bounds expects a two-factor layout [A, B]")
-    corr = default_chain_correction if correction is None else correction
-    d_b = rho.layout.dims[1]
-    b_name = rho.layout.names[1]
-    marg_b = rho.marginal(b_name)
-    bound1 = h_min_smooth(rho, eps) - float(np.log2(d_b))
-    bound2 = h_min_smooth(rho, eps / 4.0) - h_max_smooth(marg_b, eps / 4.0) - corr(eps)
-    return bound1, bound2
+    return h_min_smooth(rho, eps) - float(np.log2(rho.layout.dims[1]))

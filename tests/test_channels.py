@@ -20,7 +20,7 @@ from memloss.linalg import (
 def random_dilation(d_s, d_e, seed):
     env = haar_state(d_e, seed)
     u = haar_unitary(d_s * d_e, seed + 1)
-    return Channel.from_stinespring(env, u, name=f"rand({d_s},{d_e},{seed})")
+    return Channel.from_stinespring(env, u)
 
 
 def random_isometry_channel(d_in, d_out, rank, seed):
@@ -49,7 +49,7 @@ def choi_by_conjugation(ch):
 
 class TestConstruction:
     def test_needs_some_representation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             Channel()
 
     def test_incomplete_kraus_rejected(self):
@@ -195,7 +195,6 @@ class TestChoi:
         ch = random_dilation(3, 2, 20)
         choi = ch.choi().state
         assert np.allclose(choi.marginal("A'").data, np.eye(3) / 3, atol=1e-10)
-        assert ch.choi().source == ch.name
 
     def test_identity_choi_pure(self):
         ch = Channel.from_kraus([np.eye(2)])

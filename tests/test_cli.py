@@ -371,6 +371,17 @@ class TestScanCommands:
         assert obj["t_rec"] == pytest.approx(2 * np.pi)
         assert obj["verdict_at_rec"] == "memory_retained"
 
+    @pytest.mark.parametrize("t_max, step",
+                             [(1.0, 0.0), (1.0, -0.1), (0.05, 0.1), (1.0, 1e-310)])
+    def test_recurrence_bad_grid_exits_2(self, tmp_path, capsys, t_max, step):
+        # a step of 1e-310 would make a grid of more than 1e308 times
+        out = tmp_path / "rec.json"
+        cfg = write_cfg(tmp_path / "c.json", hamiltonian=product_spec_dict(0.0),
+                        t_max=t_max, step=step, output=str(out))
+        assert main(["recurrence", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_absence(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", hamiltonian=product_spec_dict(0.0),
                         phi=[[1.0, 0.0], [0.0, 0.0]], times=[0.0, 1.0],

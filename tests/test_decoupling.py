@@ -120,7 +120,21 @@ class TestBound:
             mean, _, _ = avg_output_distance(ch, 60, 3)
             b = decoupling_bound(ch)
             assert mean <= b.sdp_bound + 1e-9
-            assert b.sdp_bound <= b.chain_bound + 0.02
+            assert b.chain_bound >= b.sdp_bound - 1e-6
+
+    def test_chain_bound_never_below_sdp_bound(self):
+        # measure-and-prepare K_a = |f(a)><a| on d_A = 10, nine inputs sent
+        # to |0> and one to |1>: the Choi state is classical, and
+        # 2^{-H_min(A'|B)} sums the largest weight, 1/10, over the two
+        # outputs, so H_min(A'|B) = log2 5, which H_min(A'B) - log2 d_B meets
+        # exactly; subtracting H_max(B) instead gave 2.64 bits, above it
+        d = 10
+        kraus = np.zeros((d, 2, d))
+        for a in range(d):
+            kraus[a, int(a == d - 1), a] = 1.0
+        b = decoupling_bound(Channel.from_kraus(kraus))
+        assert abs(b.sdp_bits - np.log2(5.0)) < 1e-6
+        assert b.chain_bound >= b.sdp_bound - 1e-6
 
 
 class TestConcentration:
@@ -279,7 +293,8 @@ class TestReport:
         assert obj["n_samples"] == 10
         assert abs(obj["empirical_mean"] - 0.6) < 1e-12
         assert set(obj["tail"]) == {"0.25", "0.5"}
-        assert obj["converse_holds"] is None
+        assert set(obj) == {"n_samples", "empirical_mean", "empirical_std", "bound",
+                            "bound_bits", "chain_bound", "tail", "seed"}
 
     def test_deterministic_repeat(self):
         a = decoupling_report(depolarizing(0.1), n_samples=12, seed=9)

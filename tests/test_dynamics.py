@@ -304,6 +304,18 @@ class TestRecurrence:
         assert scan.min_distance > 1e-8
         assert 0 < scan.argmin_time <= 3.0
 
+    def test_horizon_is_scanned(self):
+        # the state returns at t_max = 7 steps of 1100.1 and nowhere before;
+        # a running sum of the steps overshoots that horizon by 2 ulps
+        step = 1100.1
+        t_max = 7 * step
+        omega = 2 * np.pi / t_max
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        spec = HamiltonianSpec.explicit(np.diag([0.0, omega, omega, 2 * omega]),
+                                        2, 2, psi_e=plus)
+        scan = recurrence_scan(spec, t_max, step, tol=1e-8)
+        assert scan.t_rec == t_max
+
     @pytest.mark.parametrize("chain", [False, True])
     def test_reference_and_verdict_from_the_scan(self, chain):
         # a complex psi_e and a tolerance the first grid time meets: the

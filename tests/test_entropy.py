@@ -13,7 +13,6 @@ from memloss.entropy import (
     _smooth_target,
     chain_bounds,
     cq_ansatz_optimum,
-    default_chain_correction,
     h_max,
     h_max_smooth,
     h_max_smooth_oracle,
@@ -581,32 +580,18 @@ class TestChainBounds:
         a = random_density(2, 9, name="A")
         dm = DensityMatrix(np.kron(a.data, np.eye(3) / 3),
                            SubsystemLayout.of(("A", 2), ("B", 3)))
-        b1, _ = chain_bounds(dm, 0.0)
-        assert abs(b1 - h_min(a)) < 1e-10
+        assert abs(chain_bounds(dm, 0.0) - h_min(a)) < 1e-10
 
     def test_max_entangled_tight(self):
         psi = max_entangled(2)
-        b1, _ = chain_bounds(psi, 0.0)
-        assert abs(b1 + 1.0) < 1e-10
+        assert abs(chain_bounds(psi, 0.0) + 1.0) < 1e-10
         assert abs(h_min_cond(psi) + 1.0) < 1e-6
 
     def test_lower_bounds_sdp(self):
         for seed in range(100):
             rho = random_density(4, 2000 + seed)
             dm = DensityMatrix(rho.data, SubsystemLayout.of(("A", 2), ("B", 2)))
-            b1, b2 = chain_bounds(dm, 0.0)
-            hmin = h_min_cond(dm)
-            assert b1 <= hmin + 1e-6
-            # the subtraction bound only holds up to an additive constant
-            # that the default correction does not cover at eps = 0
-            _, b2c = chain_bounds(dm, 0.0, correction=lambda e: 1.0)
-            assert b2c <= hmin + 1e-6
-            assert b2 - 1.0 == pytest.approx(b2c)
-
-    def test_correction_default(self):
-        assert default_chain_correction(0.0) == 0.0
-        assert abs(default_chain_correction(0.5) - 4.0) < 1e-12
-        assert abs(default_chain_correction(0.05) - 2 * np.log2(40)) < 1e-12
+            assert chain_bounds(dm, 0.0) <= h_min_cond(dm) + 1e-6
 
 
 class TestReport:
