@@ -17,7 +17,7 @@ from .channels import Channel, depolarizing, iid_threshold
 from .entropy import von_neumann
 from .linalg import maximally_mixed
 from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
-                        require_finite)
+                        require_finite, require_int)
 
 SCHEMA_VERSION = 1
 
@@ -115,8 +115,8 @@ def _require(cfg: dict, key: str):
 
 
 # A field of the wrong JSON type (null, a number for a list) raises TypeError
-# inside the parsers, and int(Infinity) OverflowError; every parse error is a
-# config error, exit code 2.
+# inside the parsers, and float() of an integer past 1e308 OverflowError; every
+# parse error is a config error, exit code 2.
 _PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
@@ -124,8 +124,7 @@ def _number(cfg: dict, key: str, kind=float, default=None):
     """Scalar field ``key`` as ``kind``; required when there is no default."""
     val = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
-        num = kind(val)
-        return num if kind is int else require_finite(num)
+        return require_int(val) if kind is int else require_finite(kind(val))
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
@@ -135,7 +134,7 @@ def _times_of(cfg: dict) -> list[float]:
     try:
         if isinstance(times, dict):
             start, stop = require_finite([float(times["start"]), float(times["stop"])])
-            return list(np.linspace(start, stop, int(times["num"])))
+            return list(np.linspace(start, stop, require_int(times["num"])))
         return require_finite([float(t) for t in times])
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad times: {exc}") from exc
@@ -162,7 +161,7 @@ def _channel_of(cfg: dict) -> Channel:
         if name == "depolarizing":
             return depolarizing(float(spec["p"]))
         if name == "identity":
-            return Channel.identity(int(spec["d"]))
+            return Channel.identity(require_int(spec["d"]))
         if "kraus_file" in spec:
             return Channel.from_kraus(load_kraus_file(spec["kraus_file"]))
     except _PARSE_ERRORS as exc:

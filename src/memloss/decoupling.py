@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Channel
 from .entropy import SDP_MAX_DIM, chain_bounds, h_max_smooth, h_min_cond, h_min_smooth
-from .linalg import haar_state, maximally_mixed, trace_distance
+from .linalg import haar_state, trace_distance
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -55,7 +55,7 @@ def avg_output_distance(ch: Channel, n_samples: int, seed: int):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     d = ch.input_dim
-    ref = ch.apply(maximally_mixed(d))
+    ref = ch.apply(np.eye(d, dtype=complex) / d)
     samples = np.fromiter(
         (trace_distance(out, ref)
          for out in _outputs(ch, _haar_inputs(d, seed, range(n_samples)))),
@@ -182,7 +182,8 @@ def _trial_min_average(ch: Channel, n_samples: int, seed: int,
         return float(min(2.0 * (1.0 - 1.0 / d_in), 2.0 * (1.0 - 1.0 / d_out),
                          *dists.mean(axis=1)))
 
-    trials = [ch.apply(maximally_mixed(d_in)), maximally_mixed(d_out).data]
+    trials = [ch.apply(np.eye(d_in, dtype=complex) / d_in),
+              np.eye(d_out, dtype=complex) / d_out]
     trials += _outputs(ch, trial_vecs)
     outputs = list(_outputs(ch, vecs))
     averages = [float(np.mean([trace_distance(out, w) for out in outputs]))
@@ -197,7 +198,7 @@ def convexity_gap(ch: Channel, omega, n_samples: int, seed: int):
     exposed so the property can be tested on random channels and omegas.
     """
     d = ch.input_dim
-    lhs = trace_distance(ch.apply(maximally_mixed(d)), omega)
+    lhs = trace_distance(ch.apply(np.eye(d, dtype=complex) / d), omega)
     dists = [trace_distance(out, omega)
              for out in _outputs(ch, _haar_inputs(d, seed, range(n_samples)))]
     return lhs, float(np.mean(dists))

@@ -409,7 +409,8 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> HamiltonianSpec:
-    from .serialize import decode_complex_matrix, decode_complex_vector, require_finite
+    from .serialize import (decode_complex_matrix, decode_complex_vector, require_finite,
+                            require_int)
 
     extras = {}
     for attr in ("omega_s", "omega_e"):
@@ -421,7 +422,7 @@ def spec_from_dict(d: dict) -> HamiltonianSpec:
     kind = d.get("kind", "explicit")
     if kind == "spin_chain":
         return HamiltonianSpec.spin_chain(
-            n_sites=int(d["n_sites"]), s_sites=int(d["s_sites"]),
+            n_sites=require_int(d["n_sites"]), s_sites=require_int(d["s_sites"]),
             model=d.get("model", "tfi"), j=require_finite(float(d.get("j", 1.0))),
             h_field=require_finite(float(d.get("h_field", 1.0))),
             bond_couplings=d.get("bond_couplings"), **extras)
@@ -432,7 +433,7 @@ def spec_from_dict(d: dict) -> HamiltonianSpec:
             **extras)
     if kind == "explicit":
         return HamiltonianSpec.explicit(
-            decode_complex_matrix(d["matrix"]), int(d["d_s"]), int(d["d_e"]),
+            decode_complex_matrix(d["matrix"]), require_int(d["d_s"]), require_int(d["d_e"]),
             **extras)
     raise ValueError(f"unknown Hamiltonian kind {kind!r}")
 

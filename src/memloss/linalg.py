@@ -119,9 +119,18 @@ def isometry_deviation(v: np.ndarray) -> float:
     ``v.T v* = conj(v^dag v)`` without a copy of ``v``, at half the flops of
     the full product; the other triangle stays zero, so its entries count as
     ``|0 - 0|`` and the maximum is the same as over the whole matrix.
+
+    An exact ``[I; 0]`` (the identity channel's Kraus operator) returns 0.0
+    from an O(n d) scan: ``zherk`` would multiply only 0s and 1s and return
+    exactly I, so the value is the same bit for bit. The O(d) diagonal test
+    comes first, so any other array falls through at once; a NaN or inf
+    fails ``== 1`` on the diagonal and counts as nonzero off it.
     """
     if not v.size:
         return math.nan
+    d = v.shape[1]
+    if len(v) >= d and (np.diagonal(v) == 1).all() and np.count_nonzero(v) == d:
+        return 0.0
     g = zherk(1.0, v.T)
     g.flat[:: len(g) + 1] -= 1.0
     return float(np.abs(g).max())

@@ -24,6 +24,14 @@ def require_finite(values):
     return values
 
 
+def require_int(value) -> int:
+    """``value`` as an int, or a ValueError unless json.load read an integer
+    there: ``int()`` would truncate 2.5, read true as 1 and parse "3"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def decode_complex_matrix(rows) -> np.ndarray:
     return require_finite(np.array([[complex(re, im) for re, im in row] for row in rows],
                                    dtype=complex))

@@ -56,6 +56,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Channel.from_kraus([0.9 * np.eye(2)])
 
+    def test_identity_skips_the_product(self, monkeypatch):
+        # an exact identity is complete by an O(d^2) scan, with no 2048^3
+        # zherk; any other Kraus array still takes the product
+        def no_product(*args, **kwargs):
+            raise AssertionError("zherk called")
+
+        monkeypatch.setattr("memloss.linalg.zherk", no_product)
+        assert Channel.identity(2048).kraus.shape == (1, 2048, 2048)
+        with pytest.raises(AssertionError, match="zherk called"):
+            Channel.from_kraus([np.eye(2)[::-1]])
+
+    def test_identity_rejections_hold(self):
+        with pytest.raises(ValueError):
+            Channel.identity(0)
+        eye = np.eye(3, dtype=complex)
+        eye[1, 1] = np.nan
+        with pytest.raises(ValueError, match="completeness"):
+            Channel.from_kraus(eye[None])
+
     def test_nonunitary_dilation_rejected(self):
         with pytest.raises(ValueError):
             Channel.from_stinespring(np.array([1.0, 0.0]), np.ones((4, 4)))

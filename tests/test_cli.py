@@ -492,3 +492,42 @@ class TestNonFiniteConfig:
             decode_complex_matrix([[[1.0, 0.0], [0.0, bad]]])
         with pytest.raises(ValueError):
             decode_complex_vector([[1.0, 0.0], [bad, 0.0]])
+
+
+class TestIntegerFields:
+    """An integer field takes only a JSON integer: ``int()`` used to run
+    ``identity(2)`` for ``"d": 2.5``, ``identity(1)`` for ``true`` and
+    ``identity(3)`` for ``"3"``, and to draw 2 samples for 2.9."""
+
+    chain = {"kind": "spin_chain", "n_sites": 4, "s_sites": 1,
+             "psi_e": [[1.0, 0.0]] + [[0.0, 0.0]] * 7}
+    explicit = spec_to_dict(HamiltonianSpec.explicit(np.diag([0.0, 1.0, 2.0, 3.0]), 2, 2,
+                                                     psi_e=np.eye(2)[0]))
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    @pytest.mark.parametrize("command, fields", [
+        ("converse", {"channel": {"builtin": "identity", "d": "BAD"}}),
+        ("converse", {"samples": "BAD"}),
+        ("decoupling", {"seed": "BAD"}),
+        ("absence", {"samples": "BAD"}),
+        ("depol-threshold", {"num": "BAD"}),
+        ("lightcone", {"times": {"start": 0.0, "stop": 1.0, "num": "BAD"}}),
+        ("criteria-scan", {"hamiltonian": dict(chain, n_sites="BAD")}),
+        ("criteria-scan", {"hamiltonian": dict(chain, s_sites="BAD")}),
+        ("criteria-scan", {"hamiltonian": dict(explicit, d_s="BAD")}),
+        ("criteria-scan", {"hamiltonian": dict(explicit, d_e="BAD")}),
+    ], ids=["identity-d", "samples", "seed", "absence-samples", "num", "times-num",
+            "n_sites", "s_sites", "d_s", "d_e"])
+    def test_non_integer_exits_2(self, tmp_path, capsys, command, fields, bad):
+        base = {"channel": {"builtin": "identity", "d": 2}, "epsilon": 0.05,
+                "delta": 0.01, "seed": 0, "samples": 2, "hamiltonian": self.chain,
+                "times": [0.0, 1.0], "phi": [[1.0, 0.0], [0.0, 0.0]]}
+        out = tmp_path / "out"
+        cfg = {k: v for k, v in base.items() if k in READS[command]}
+        cfg.update(json.loads(json.dumps(fields).replace('"BAD"', json.dumps(bad))),
+                   output=str(out))
+        path = write_cfg(tmp_path / "c.json", **cfg)
+        assert main([command, path]) == 2
+        assert (f"error: bad {next(iter(fields))}: expected an integer"
+                in capsys.readouterr().err)
+        assert not out.exists()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import zherk
 
 from memloss.linalg import (
     DensityMatrix,
@@ -12,6 +13,7 @@ from memloss.linalg import (
     haar_state,
     haar_unitary,
     hermiticity_deviation,
+    isometry_deviation,
     kron,
     max_entangled,
     maximally_mixed,
@@ -308,3 +310,56 @@ class TestInputChecks:
             want = np.abs(m - m.conj().T).max() / max(1.0, np.abs(m).max())
             assert abs(dev - want) <= 1e-15 * max(1.0, want)
         assert hermiticity_deviation(g + g.conj().T) == 0.0
+
+
+def zherk_deviation(v):
+    """``max |v^dag v - I|`` from one ``zherk`` triangle on every input: the
+    reference that :func:`isometry_deviation`'s ``[I; 0]`` shortcut must
+    match bit for bit."""
+    g = zherk(1.0, v.T)
+    g.flat[:: len(g) + 1] -= 1.0
+    return float(np.abs(g).max())
+
+
+def with_entry(v, i, j, x):
+    v = v.copy()
+    v[i, j] = x
+    return v
+
+
+class TestIsometryDeviation:
+    """The exact-identity shortcut returns what ``zherk`` returns: the same
+    float, nan where it gives nan."""
+
+    eye = np.eye(4, dtype=complex)
+    cases = {
+        **{f"I{d}": np.eye(d, dtype=complex) for d in (1, 2, 5, 64)},
+        "I-stacked-on-0": np.eye(7, 4, dtype=complex),
+        "minus-I": -eye,
+        "I-stacked-on-I": np.vstack([eye, eye]),
+        "off-diagonal-1e-12": with_entry(eye, 0, 3, 1e-12),
+        "diagonal-1+1e-10": with_entry(eye, 2, 2, 1 + 1e-10),
+        "nan-on-diagonal": with_entry(eye, 1, 1, np.nan),
+        "inf-on-diagonal": with_entry(eye, 3, 3, np.inf),
+        "nan-off-diagonal": with_entry(eye, 2, 0, complex(0.0, np.nan)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(cases))
+    def test_matches_zherk_bit_for_bit(self, case):
+        v = self.cases[case]
+        # repr is exact for floats and reads nan as nan
+        assert repr(isometry_deviation(v)) == repr(zherk_deviation(v))
+
+    def test_nonfinite_is_rejected(self):
+        # a non-finite entry never takes the shortcut: it reaches zherk and
+        # fails every ``deviation <= tol`` check
+        for case in ("nan-on-diagonal", "inf-on-diagonal", "nan-off-diagonal"):
+            assert not np.isfinite(isometry_deviation(self.cases[case]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_random_isometries(self, d, extra, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d + extra, d)) + 1j * rng.standard_normal((d + extra, d))
+        v = np.ascontiguousarray(np.linalg.qr(g)[0])
+        assert repr(isometry_deviation(v)) == repr(zherk_deviation(v))
