@@ -62,30 +62,19 @@ def overlap_matrix(eig_vectors, phi, e_basis=None) -> np.ndarray:
     return np.abs(v.conj().T @ products)
 
 
-def _max_matching(adj: np.ndarray) -> dict[int, int] | None:
-    """Perfect matching of all columns into distinct rows, or None.
+def _perfect_matching(adj: np.ndarray) -> dict[int, int] | None:
+    """Matching of every column into a distinct row, or None.
 
-    ``adj[k, j]`` marks an allowed (row, column) pair; Kuhn's augmenting
-    path algorithm, deterministic scan order.
+    ``adj[k, j]`` marks an allowed (row, column) pair; scipy's
+    Hopcroft-Karp matcher gives the row of each column, -1 if unmatched.
     """
-    n_rows, n_cols = adj.shape
-    row_of = [-1] * n_cols
-    col_of = [-1] * n_rows
+    from scipy import sparse
+    from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    def augment(j: int, seen: list[bool]) -> bool:
-        for k in range(n_rows):
-            if adj[k, j] and not seen[k]:
-                seen[k] = True
-                if col_of[k] == -1 or augment(col_of[k], seen):
-                    col_of[k] = j
-                    row_of[j] = k
-                    return True
-        return False
-
-    for j in range(n_cols):
-        if not augment(j, [False] * n_rows):
-            return None
-    return {row_of[j]: j for j in range(n_cols)}
+    row_of = maximum_bipartite_matching(sparse.csr_array(adj), perm_type="row")
+    if (row_of < 0).any():
+        return None
+    return {int(k): j for j, k in enumerate(row_of)}
 
 
 def delta_phi(overlaps) -> AssignmentResult:
@@ -103,19 +92,17 @@ def delta_phi(overlaps) -> AssignmentResult:
     if n_rows < n_cols:
         raise ValueError("need at least as many eigenvectors as product labels")
     values = np.unique(f)
-    # invariant: matching exists at values[lo], does not at values[hi]
+    # invariant: a matching exists at values[lo] (every entry reaches the
+    # smallest value), and none at values[hi] (hi = len is past the top)
     lo, hi = 0, len(values)
-    if _max_matching(f >= values[-1]) is not None:
-        lo = len(values) - 1
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _max_matching(f >= values[mid]) is not None:
-                lo = mid
-            else:
-                hi = mid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _perfect_matching(f >= values[mid]) is not None:
+            lo = mid
+        else:
+            hi = mid
     theta = float(values[lo])
-    witness = _max_matching(f >= theta)
+    witness = _perfect_matching(f >= theta)
     return AssignmentResult(delta_phi=theta, assignment=witness, overlaps=f)
 
 

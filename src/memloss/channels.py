@@ -157,8 +157,10 @@ def iid_threshold(family, lo: float = 0.0, hi: float = 1.0,
     ``family(p)`` is any :class:`Channel`; ``tau_SE`` is its dilation
     (:meth:`Channel.dilation_state`) of the maximally mixed input, so the
     gap is ``H(T(pi)) - H(T^c(pi))``.  The root is found by bisection
-    (monotonicity is not assumed).
+    (monotonicity is not assumed) on the bracket ``lo < hi``.
     """
+    if not lo < hi:
+        raise ValueError(f"threshold bracket needs lo < hi, got [{lo}, {hi}]")
 
     def gap(p: float) -> float:
         ch = family(p)

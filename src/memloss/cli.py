@@ -17,7 +17,7 @@ from .channels import Channel, depolarizing, iid_threshold
 from .entropy import von_neumann
 from .linalg import maximally_mixed
 from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
-                        require_finite, require_int)
+                        require_float, require_int)
 
 SCHEMA_VERSION = 1
 
@@ -124,7 +124,7 @@ def _number(cfg: dict, key: str, kind=float, default=None):
     """Scalar field ``key`` as ``kind``; required when there is no default."""
     val = _require(cfg, key) if default is None else cfg.get(key, default)
     try:
-        return require_int(val) if kind is int else require_finite(kind(val))
+        return require_int(val) if kind is int else require_float(val)
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
@@ -133,9 +133,9 @@ def _times_of(cfg: dict) -> list[float]:
     times = _require(cfg, "times")
     try:
         if isinstance(times, dict):
-            start, stop = require_finite([float(times["start"]), float(times["stop"])])
+            start, stop = require_float(times["start"]), require_float(times["stop"])
             return list(np.linspace(start, stop, require_int(times["num"])))
-        return require_finite([float(t) for t in times])
+        return [require_float(t) for t in times]
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad times: {exc}") from exc
 
@@ -159,7 +159,7 @@ def _channel_of(cfg: dict) -> Channel:
             return Channel.from_kraus(load_kraus_file(spec))
         name = spec.get("builtin")
         if name == "depolarizing":
-            return depolarizing(float(spec["p"]))
+            return depolarizing(require_float(spec["p"]))
         if name == "identity":
             return Channel.identity(require_int(spec["d"]))
         if "kraus_file" in spec:
@@ -223,7 +223,7 @@ def run_depol_threshold(cfg: dict) -> int:
 def run_decoupling(cfg: dict) -> int:
     ch = _channel_of(cfg)
     try:
-        deltas = require_finite([float(d) for d in cfg.get("deltas", (0.5,))])
+        deltas = [require_float(d) for d in cfg.get("deltas", (0.5,))]
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad deltas: {exc}") from exc
     report = decoupling.decoupling_report(

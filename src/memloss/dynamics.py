@@ -409,7 +409,7 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> HamiltonianSpec:
-    from .serialize import (decode_complex_matrix, decode_complex_vector, require_finite,
+    from .serialize import (decode_complex_matrix, decode_complex_vector, require_float,
                             require_int)
 
     extras = {}
@@ -423,13 +423,14 @@ def spec_from_dict(d: dict) -> HamiltonianSpec:
     if kind == "spin_chain":
         return HamiltonianSpec.spin_chain(
             n_sites=require_int(d["n_sites"]), s_sites=require_int(d["s_sites"]),
-            model=d.get("model", "tfi"), j=require_finite(float(d.get("j", 1.0))),
-            h_field=require_finite(float(d.get("h_field", 1.0))),
-            bond_couplings=d.get("bond_couplings"), **extras)
+            model=d.get("model", "tfi"), j=require_float(d.get("j", 1.0)),
+            h_field=require_float(d.get("h_field", 1.0)),
+            bond_couplings=None if d.get("bond_couplings") is None
+            else [require_float(b) for b in d["bond_couplings"]], **extras)
     if kind == "coupled_product":
         return HamiltonianSpec.coupled_product(
             decode_complex_matrix(d["h_s"]), decode_complex_matrix(d["h_e"]),
-            decode_complex_matrix(d["h_int"]), g=require_finite(float(d["g"])),
+            decode_complex_matrix(d["h_int"]), g=require_float(d["g"]),
             **extras)
     if kind == "explicit":
         return HamiltonianSpec.explicit(

@@ -32,6 +32,15 @@ def require_int(value) -> int:
     return int(value)
 
 
+def require_float(value) -> float:
+    """``value`` as a finite float, or a ValueError unless json.load read a
+    finite number there: ``float()`` would read true as 1.0 and parse "0.3"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                         np.floating)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return require_finite(float(value))
+
+
 def decode_complex_matrix(rows) -> np.ndarray:
     return require_finite(np.array([[complex(re, im) for re, im in row] for row in rows],
                                    dtype=complex))

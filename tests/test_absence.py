@@ -97,12 +97,31 @@ class TestBottleneck:
         for _ in range(50):
             rows = int(rng.integers(2, 9))
             cols = int(rng.integers(1, min(rows, 4) + 1))
-            f = rng.random((rows, cols))
-            res = delta_phi(f)
-            assert res.delta_phi == delta_phi_exhaustive(f)
-            chosen = [f[k, j] for k, j in res.assignment.items()]
-            assert min(chosen) == res.delta_phi
-            assert len(set(res.assignment.values())) == cols
+            drawn = rng.random((rows, cols))
+            # one decimal makes ties: the bisection over the distinct values
+            # meets repeated entries and tables whose top value is feasible
+            for f in (drawn, drawn.round(1)):
+                res = delta_phi(f)
+                assert res.delta_phi == delta_phi_exhaustive(f)
+                chosen = [f[k, j] for k, j in res.assignment.items()]
+                assert min(chosen) == res.delta_phi
+                assert len(set(res.assignment.values())) == cols
+
+    def test_long_augmenting_paths(self):
+        # a cyclic staircase: column j may use rows j and j + 1, the last
+        # column row 0; scanning rows in order, the last column's augmenting
+        # path runs back through all the others, deeper than a recursive
+        # matcher's stack allows
+        n = 1200
+        f = np.zeros((n, n))
+        cols = np.arange(n)
+        f[cols, cols] = 0.9
+        f[(cols + 1) % n, cols] = 0.9
+        res = delta_phi(f)
+        assert res.delta_phi == 0.9
+        assert len(res.assignment) == n
+        assert sorted(res.assignment.values()) == list(range(n))
+        assert min(f[k, j] for k, j in res.assignment.items()) == 0.9
 
     def test_monotone_in_entries(self):
         rng = np.random.default_rng(78)

@@ -302,6 +302,12 @@ class TestThreshold:
         with pytest.raises(ValueError):
             iid_threshold(depolarizing, 0.0, 0.05)
 
+    @pytest.mark.parametrize("lo, hi", [(0.3, 0.1), (0.2, 0.2)])
+    def test_reversed_bracket_raises(self, lo, hi):
+        # [0.3, 0.1] used to bisect to 0.2 although the root is 0.189290
+        with pytest.raises(ValueError, match="lo < hi"):
+            iid_threshold(depolarizing, lo, hi)
+
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
             depolarizing(1.2)

@@ -221,6 +221,14 @@ class TestDepolThreshold:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "p,H_S,H_E"
 
+    def test_reversed_bracket_exits_2(self, tmp_path, capsys):
+        # bisecting [0.3, 0.1] used to print p_c = 0.200000; the root is 0.189290
+        out = tmp_path / "out.csv"
+        cfg = write_cfg(tmp_path / "c.json", p_lo=0.3, p_hi=0.1, output=str(out))
+        assert main(["depol-threshold", cfg]) == 2
+        assert "lo < hi" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCriteriaScan:
     def test_decoupled_system_always_retained(self, tmp_path, capsys):
@@ -529,5 +537,53 @@ class TestIntegerFields:
         path = write_cfg(tmp_path / "c.json", **cfg)
         assert main([command, path]) == 2
         assert (f"error: bad {next(iter(fields))}: expected an integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+class TestFloatFields:
+    """A float field takes only a JSON number: ``float()`` used to read
+    ``true`` as 1.0 and parse ``"0.3"``, and the run exited 0."""
+
+    chain = TestIntegerFields.chain
+
+    @pytest.mark.parametrize("bad", [True, "0.3"])
+    @pytest.mark.parametrize("command, fields", [
+        ("criteria-scan", {"epsilon": "BAD"}),
+        ("criteria-scan", {"slack": "BAD"}),
+        ("criteria-scan", {"times": ["BAD", 1.0]}),
+        ("lightcone", {"times": {"start": "BAD", "stop": 1.0, "num": 3}}),
+        ("lightcone", {"times": {"start": 0.0, "stop": "BAD", "num": 3}}),
+        ("criteria-scan", {"hamiltonian": dict(chain, j="BAD")}),
+        ("criteria-scan", {"hamiltonian": dict(chain, h_field="BAD")}),
+        ("criteria-scan", {"hamiltonian": dict(chain, bond_couplings=[1.0, "BAD", 1.0])}),
+        ("criteria-scan", {"hamiltonian": dict(product_spec_dict(), g="BAD")}),
+        ("decoupling", {"channel": {"builtin": "depolarizing", "p": "BAD"}}),
+        ("decoupling", {"deltas": ["BAD"]}),
+        ("decoupling", {"epsilon": "BAD"}),
+        ("converse", {"delta": "BAD"}),
+        ("depol-threshold", {"p_lo": "BAD"}),
+        ("depol-threshold", {"p_hi": "BAD"}),
+        ("depol-threshold", {"tol": "BAD"}),
+        ("depol-threshold", {"p_min": "BAD"}),
+        ("depol-threshold", {"p_max": "BAD"}),
+        ("recurrence", {"t_max": "BAD"}),
+        ("recurrence", {"step": "BAD"}),
+        ("recurrence", {"tol": "BAD"}),
+    ], ids=["epsilon", "slack", "times", "times-start", "times-stop", "j", "h_field",
+            "bond_couplings", "g", "depolarizing-p", "deltas", "decoupling-epsilon",
+            "delta", "p_lo", "p_hi", "depol-tol", "p_min", "p_max", "t_max", "step",
+            "recurrence-tol"])
+    def test_non_number_exits_2(self, tmp_path, capsys, command, fields, bad):
+        base = {"channel": {"builtin": "identity", "d": 2}, "epsilon": 0.05,
+                "delta": 0.01, "seed": 0, "samples": 2, "hamiltonian": self.chain,
+                "times": [0.0, 1.0], "t_max": 1.0, "step": 0.5}
+        out = tmp_path / "out"
+        cfg = {k: v for k, v in base.items() if k in READS[command]}
+        cfg.update(json.loads(json.dumps(fields).replace('"BAD"', json.dumps(bad))),
+                   output=str(out))
+        path = write_cfg(tmp_path / "c.json", **cfg)
+        assert main([command, path]) == 2
+        assert (f"error: bad {next(iter(fields))}: expected a number"
                 in capsys.readouterr().err)
         assert not out.exists()

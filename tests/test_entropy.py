@@ -610,11 +610,13 @@ class TestReport:
 def test_import_leaves_out_scipy_optimize():
     # scipy.optimize serves cq_ansatz_optimum alone, a check routine, and
     # would be a fifth of the modules a fresh ``import memloss`` loads;
+    # scipy.sparse.csgraph serves delta_phi alone and is imported there;
     # scipy.sparse.linalg and scipy.special serve no memloss code at all
     src = os.path.dirname(os.path.dirname(entropy.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, memloss; print(sorted(m for m in sys.modules if m in "
-             "('scipy.optimize', 'scipy.sparse.linalg', 'scipy.special')))")
+             "('scipy.optimize', 'scipy.sparse.csgraph', 'scipy.sparse.linalg', "
+             "'scipy.special')))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
