@@ -163,7 +163,11 @@ def _channel_of(cfg: dict) -> Channel:
         if name == "identity":
             return Channel.identity(require_int(spec["d"]))
         if "kraus_file" in spec:
-            return Channel.from_kraus(load_kraus_file(spec["kraus_file"]))
+            path = spec["kraus_file"]
+            # open() reads an int, true among them, as a file descriptor
+            if not isinstance(path, str):
+                raise ValueError(f"kraus_file must be a path, got {path!r}")
+            return Channel.from_kraus(load_kraus_file(path))
     except _PARSE_ERRORS as exc:
         raise ConfigError(f"bad channel: {exc}") from exc
     raise ConfigError(f"unrecognized channel description {spec!r}")

@@ -23,8 +23,12 @@ from scipy import linalg
 from .linalg import EIGENVALUE_TOL, DensityMatrix, as_matrix
 
 SDP_MAX_DIM = 256
-SDP_GAP_TOL = 1e-7     # duality gap on tr sigma at which the solve stops
-SDP_STAGE_STEPS = 60   # Newton steps per centering stage before it gives up
+SDP_GAP_TOL = 1e-10    # certified duality gap, relative to tr sigma, at which the solve stops
+SDP_MAX_STEPS = 50     # predictor-corrector steps before the solve gives up
+_STEP_FRACTION = 0.98  # share of the way to the cone's boundary that a step goes
+# step lengths tried first, largest first, then halved; late steps stop
+# just short of a full step, so the grid is finest near 1
+_STEP_GRID = (1.0, 0.98, 0.93, 0.8, 0.6)
 
 
 def spectrum_of(x) -> np.ndarray:
@@ -238,51 +242,41 @@ def h_max_smooth_oracle(rho, eps: float, grid: int = 20_001) -> float:
 
 # ---------------------------------------------------------------------------
 # Conditional min-entropy SDP:  2^{-H_min(A|B)} = min tr sigma_B
-#                               s.t. I_A (x) sigma_B >= rho_AB.
-# Solved with a deterministic log-barrier Newton iteration.
+#                               s.t. S = I_A (x) sigma_B - rho_AB >= 0,
+# whose dual is  max tr(rho X)  s.t.  X >= 0, tr_A X = I_B  (Koenig, Renner
+# and Schaffner, arXiv:0807.1338).  Any feasible pair brackets the value,
+# -log2 tr sigma <= H_min(A|B) <= -log2 tr(rho X), and the gap
+# tr sigma - tr(rho X) = tr(S X) is certified by the pair itself.  Solved
+# by a feasible primal-dual predictor-corrector: the HKM direction
+# (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 342, 1996)
+# with Mehrotra's corrector.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class SdpResult:
-    value: float          # H_min(A|B) in bits
-    sigma: np.ndarray     # optimal conditioning operator
-    gap: float            # duality gap bound on tr sigma
-    converged: bool       # every centering stage stopped before its cap
-    newton_steps: int     # Newton steps taken over all stages
-
-
-def _newton_system(chol: np.ndarray, d_a: int, d_b: int,
-                   t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the barrier in the complex entries of sigma.
-
-    From the Cholesky factor of ``I_A (x) sigma - rho`` it builds
-    ``P = (I_A (x) sigma - rho)^-1``.  The gradient is ``G = t I - tr_A P``
-    and the Hessian is the map ``D -> tr_A[P (I_A (x) D) P]``, as a matrix
-    ``H[(b, d), (j, k)] = sum_{a, c} P[a, b, c, j] P[c, k, a, d]``: one
-    product of two reshaped copies of P.
-    """
-    inv, info = linalg.lapack.zpotri(chol, lower=1)
-    if info:
-        raise np.linalg.LinAlgError("singular barrier matrix")
-    p = (np.tril(inv) + np.tril(inv, -1).conj().T).reshape(d_a, d_b, d_a, d_b)
-    grad = t * np.eye(d_b) - np.einsum("abad->bd", p)
-    left = p.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)   # [(b, j), (a, c)]
-    right = p.transpose(2, 0, 1, 3).reshape(d_a * d_a, d_b * d_b)  # [(a, c), (k, d)]
-    hess = (left @ right).reshape(d_b, d_b, d_b, d_b).transpose(0, 3, 1, 2)
-    return 0.5 * (grad + grad.conj().T), hess.reshape(d_b * d_b, d_b * d_b)
+    value: float          # H_min(A|B) in bits, -log2 tr sigma: the sound side
+    sigma: np.ndarray     # primal point, I_A (x) sigma - rho passes Cholesky
+    x: np.ndarray         # dual point, X >= 0 with tr_A X = I_B
+    gap: float            # certified duality gap tr sigma - tr(rho X)
+    converged: bool       # gap <= SDP_GAP_TOL tr sigma within SDP_MAX_STEPS
+    newton_steps: int     # predictor-corrector steps taken
 
 
 def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
-    """Conditional min-entropy of a bipartite state via barrier Newton.
+    """Conditional min-entropy of a bipartite state, with a certified gap.
 
-    The start ``sigma = (lambda_max(rho) + 0.1) I_B`` is strictly feasible;
-    the barrier parameter is grown until the duality gap on ``tr sigma``
-    is below ``SDP_GAP_TOL``.  Each centering stage stops once half the Newton
-    decrement is below ``max(1e-11, 1e-13 |f|)``, the rounding floor of the
-    barrier value f, which grows with t; a stage that runs out its
-    ``SDP_STAGE_STEPS`` steps, or whose line search fails, clears
-    ``converged``.
+    Starts from the strictly feasible pair ``sigma = (lambda_max(rho) + 0.1)
+    I_B``, ``X = I / d_A`` and follows the central path ``S X = mu I``.  Each
+    step factors ``S`` and the Hermitian positive-definite Schur complement
+    ``D -> tr_A sym(S^-1 (I_A (x) D) X)`` once, solves with it twice
+    (Mehrotra's predictor, then the corrector), and moves ``X`` and
+    ``sigma`` each at most a full step and at most ``_STEP_FRACTION`` of
+    the way to the cone's boundary, as read off trial Cholesky
+    factorizations.  The solve stops once the gap ``tr sigma - tr(rho X)``
+    is at most ``SDP_GAP_TOL tr sigma``; running out of ``SDP_MAX_STEPS``
+    steps, a Schur complement that fails Cholesky or a step that cannot
+    move clears ``converged``.
     """
     rho = as_matrix(rho_ab)
     n = d_a * d_b
@@ -291,56 +285,136 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
     if n > SDP_MAX_DIM:
         raise ValueError(f"dimension {n} exceeds solver envelope {SDP_MAX_DIM}")
 
-    eye_a = np.eye(d_a)
+    def tr_a(m):
+        """Partial trace over A of an n x n matrix."""
+        return np.einsum("abad->bd", m.reshape(d_a, d_b, d_a, d_b))
 
-    def factor(sig):
-        """Cholesky factor of ``I_A (x) sig - rho``; None outside the cone."""
-        try:
-            return np.linalg.cholesky(np.kron(eye_a, sig) - rho)
-        except np.linalg.LinAlgError:
-            return None
+    def factor(m) -> bool:
+        """Cholesky in place: m's lower triangle becomes L with ``L L^dag = m``.
 
-    def barrier(sig, chol, t):
-        return t * sig.trace().real - 2.0 * np.log(np.diagonal(chol).real).sum()
+        ``m.T`` is Fortran-ordered, so LAPACK writes into m without a copy;
+        its upper factor U (``U^dag U = m^T``) is L read in C order.
+        """
+        return linalg.lapack.zpotrf(m.T, lower=0, overwrite_a=1, clean=0)[1] == 0
 
-    lam_max = float(np.linalg.eigvalsh(rho)[-1])
-    sigma = (lam_max + 0.1) * np.eye(d_b, dtype=complex)
-    chol = factor(sigma)
-    t = 1.0
+    def lift(out, sig):
+        """``I_A (x) sig - rho`` written into out."""
+        np.negative(rho, out=out)
+        np.einsum("abad->abd", out.reshape(d_a, d_b, d_a, d_b))[...] += sig
+        return out
+
+    def times_x(ds, out):
+        """``(I_A (x) ds) X`` written into out."""
+        np.matmul(ds, x.reshape(d_a, d_b, n), out=out.reshape(d_a, d_b, n))
+        return out
+
+    def direction(y):
+        """``-X - sym(P y)``, with ``P = S^-1`` and ``sym(m) = (m + m^dag) / 2``."""
+        dx = p @ y
+        dx += np.conjugate(dx.T, out=trial)
+        dx *= -0.5
+        dx -= x
+        return dx
+
+    def solve(rhs):
+        """The Hermitian ds with ``tr_A sym(P (I_A (x) ds) X) = rhs``."""
+        ds = linalg.lapack.zpotrs(schur, 2.0 * rhs.reshape(-1), lower=1)[0].reshape(d_b, d_b)
+        return 0.5 * (ds + ds.conj().T)
+
+    def reach(point, grid) -> float:
+        """First t of grid, then of its halvings, at which ``point(t)``,
+        written into trial, passes Cholesky; 0.0 when none down to 1e-8 does."""
+        for t in grid:
+            if factor(point(t)):
+                return t
+        while t > 1e-8:
+            t *= 0.5
+            if factor(point(t)):
+                return t
+        return 0.0
+
+    def steps_to_boundary(dx, ds, grid):
+        """Step lengths of X along dx and of sigma along ds."""
+        a_x = reach(lambda t: np.add(x, np.multiply(dx, t, out=trial), out=trial), grid)
+        a_s = reach(lambda t: lift(trial, sigma + t * ds), grid)
+        return a_x, a_s
+
+    # n x n arrays: rho, x, fac (S's factor, then P = S^-1), trial (the
+    # step-length trials and scratch) and at most three more at a time
+    eye_b = np.eye(d_b)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    sigma = (float(np.linalg.eigvalsh(rho)[-1]) + 0.1) * np.eye(d_b, dtype=complex)
+    x = np.eye(n, dtype=complex) / d_a
+    fac = lift(np.empty((n, n), dtype=complex), sigma)
+    trial = np.empty_like(fac)
+    factor(fac)  # S >= 0.1 I
     steps = 0
-    converged = True
+    converged = False
     while True:
-        # Newton centering at barrier parameter t.
-        f = barrier(sigma, chol, t)
-        for _ in range(SDP_STAGE_STEPS):
-            grad, hess = _newton_system(chol, d_a, d_b, t)
-            delta = np.linalg.solve(hess, -grad.reshape(-1)).reshape(d_b, d_b)
-            delta = 0.5 * (delta + delta.conj().T)
-            decrement = -float(np.vdot(grad, delta).real)
-            if decrement / 2.0 < max(1e-11, 1e-13 * abs(f)):
-                break
-            s = 1.0
-            for _ in range(60):
-                trial = sigma + s * delta
-                chol1 = factor(trial)
-                if chol1 is not None:
-                    f1 = barrier(trial, chol1, t)
-                    if f1 <= f - 0.25 * s * decrement:
-                        break
-                s *= 0.5
-            else:
-                converged = False
-                break
-            sigma, chol, f = trial, chol1, f1
-            steps += 1
-        else:
-            converged = False
-        if n / t <= SDP_GAP_TOL:
+        # rounding in the Schur solves leaves tr_A X off I_B; the congruence
+        # by I_A (x) C^-1, with C C^dag = tr_A X, restores it, so the gap
+        # below is certified by a dual-feasible X
+        inv = linalg.solve_triangular(np.linalg.cholesky(tr_a(x)), eye_b, lower=True)
+        times_x(inv, trial)
+        np.matmul(trial.reshape(n, d_a, d_b), inv.conj().T, out=x.reshape(n, d_a, d_b))
+        x += np.conjugate(x.T, out=trial)
+        x *= 0.5
+        tr_sigma = float(sigma.trace().real)
+        gap = tr_sigma - float(np.vdot(rho, x).real)
+        if gap <= SDP_GAP_TOL * tr_sigma:
+            converged = True
             break
-        t *= 20.0
+        if steps == SDP_MAX_STEPS:
+            break
+        # P = S^-1 in place of S's factor, the upper triangle from the lower
+        linalg.lapack.zpotri(fac.T, lower=0, overwrite_c=1)
+        p = fac
+        np.copyto(p, np.conjugate(p.T, out=trial), where=upper)
+        # Schur complement: H[(b, d), (j, k)] = sum_{a, c} P[a, b, c, j] X[c, k, a, d]
+        # is the map D -> tr_A[P (I (x) D) X]; its (b, d) <-> (j, k)
+        # transpose-conjugate is D -> tr_A[X (I (x) D) P], and the sum of the
+        # two is twice the HKM map.  Written conjugated in C order, the sum
+        # is read in Fortran order as itself and factored in place.
+        left = p.reshape(d_a, d_b, d_a, d_b).transpose(1, 3, 0, 2).reshape(d_b * d_b, -1)
+        right = x.reshape(d_a, d_b, d_a, d_b).transpose(2, 0, 1, 3).reshape(-1, d_b * d_b)
+        prod = (left @ right).reshape(d_b, d_b, d_b, d_b)  # [b, j, k, d]
+        del left, right
+        schur = np.conjugate(prod.transpose(0, 3, 1, 2))
+        schur += prod.transpose(3, 0, 2, 1)
+        del prod
+        schur = schur.reshape(d_b * d_b, d_b * d_b).T
+        if linalg.lapack.zpotrf(schur, lower=1, overwrite_a=1, clean=0)[1]:
+            break
+        # predictor: the affine direction, centering target 0
+        ds = solve(-eye_b)
+        dx = direction(times_x(ds, np.empty_like(x)))
+        a_x, a_s = steps_to_boundary(dx, ds, _STEP_GRID)
+        gap_aff = (gap + a_s * float(ds.trace().real)
+                   - a_x * float(np.vdot(rho, dx).real))
+        target = min(1.0, (max(gap_aff, 0.0) / gap) ** 3) * gap / n
+        # corrector: the predictor's second-order term (I (x) ds) dx and
+        # the centering term target * P
+        z = np.matmul(ds, dx.reshape(d_a, d_b, n)).reshape(n, n)
+        del dx
+        pz = np.matmul(p.reshape(d_a, d_b, n), z.reshape(n, d_a, d_b).transpose(1, 0, 2)).sum(axis=0)
+        ds = solve(target * tr_a(p) - eye_b - 0.5 * (pz + pz.conj().T))
+        z += times_x(ds, trial)
+        dx = direction(z)
+        del z
+        dx += np.multiply(p, target, out=trial)
+        a_x, a_s = steps_to_boundary(dx, ds, (1.0 / _STEP_FRACTION,) + _STEP_GRID)
+        if not (a_x and a_s):
+            break
+        moved = sigma + min(1.0, _STEP_FRACTION * a_s) * ds
+        if not factor(lift(fac, moved)):
+            break
+        sigma = moved
+        dx *= min(1.0, _STEP_FRACTION * a_x)
+        x += dx
+        del dx
+        steps += 1
 
-    value = float(sigma.trace().real)
-    return SdpResult(value=float(-np.log2(value)), sigma=sigma, gap=n / t,
+    return SdpResult(value=float(-np.log2(tr_sigma)), sigma=sigma, x=x, gap=gap,
                      converged=converged, newton_steps=steps)
 
 
@@ -355,6 +429,7 @@ def h_min_cond(rho: DensityMatrix, eps: float = 0.0) -> float:
     """
     if len(rho.layout.factors) != 2:
         raise ValueError("h_min_cond expects a two-factor layout [A, B]")
+    _smooth_target(eps)  # checks 0 <= eps < 1 before the solve
     d_a, d_b = rho.layout.dims
     result = min_entropy_sdp(rho.data, d_a, d_b)
     if not result.converged:

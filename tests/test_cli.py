@@ -1,7 +1,11 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memloss import decoupling, entropy
 from memloss.channels import Channel
@@ -311,7 +315,7 @@ class TestChannelCommands:
 
     def test_unconverged_sdp_exits_3(self, tmp_path, capsys, monkeypatch):
         # a solve that did not converge yields no number
-        monkeypatch.setattr(entropy, "SDP_STAGE_STEPS", 1)
+        monkeypatch.setattr(entropy, "SDP_MAX_STEPS", 1)
         out = tmp_path / "dec.json"
         cfg = write_cfg(tmp_path / "c.json",
                         channel={"builtin": "identity", "d": 2},
@@ -324,7 +328,9 @@ class TestChannelCommands:
         "empty.json",                        # [[]]: one operator with no entries
         "mixed.json",                        # operators of two shapes
         {"builtin": "identity", "d": 0},
-    ], ids=["empty", "mixed", "identity-d0"])
+        {"kraus_file": True},                # open() reads it as descriptor 1
+        {"kraus_file": 0},
+    ], ids=["empty", "mixed", "identity-d0", "kraus_file-true", "kraus_file-0"])
     def test_malformed_channel_exits_2(self, tmp_path, capsys, monkeypatch, channel):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.json").write_text("[[]]")
@@ -587,3 +593,66 @@ class TestFloatFields:
         assert (f"error: bad {next(iter(fields))}: expected a number"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+
+# JSON values of the wrong kind for any scalar field
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                  st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+_BAD_FIELDS = st.one_of(
+    st.tuples(st.just("samples"), st.one_of(
+        _JUNK, st.integers(max_value=0), st.floats(allow_nan=True, allow_infinity=True))),
+    st.tuples(st.just("seed"), st.one_of(
+        _JUNK, st.integers(max_value=-1), st.floats(allow_nan=True, allow_infinity=True))),
+    st.tuples(st.just("epsilon"), st.one_of(
+        _JUNK, st.floats(min_value=1.0), st.floats(max_value=-1e-300),
+        st.integers(min_value=1), st.integers(max_value=-1), st.just(float("nan")))),
+    st.tuples(st.just("channel"), st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.lists(_JUNK, max_size=2),
+        st.fixed_dictionaries({"builtin": st.just("identity"),
+                               "d": st.one_of(_JUNK, st.integers(max_value=0),
+                                              st.floats())}),
+        st.fixed_dictionaries({"builtin": st.just("depolarizing"),
+                               "p": st.one_of(_JUNK, st.floats(min_value=1.0, exclude_min=True),
+                                              st.floats(max_value=-1e-300))}),
+        st.fixed_dictionaries({"builtin": st.text(max_size=6).filter(
+            lambda name: name not in ("identity", "depolarizing"))}),
+        st.fixed_dictionaries({"kraus_file": st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.lists(st.text()))}),
+        st.fixed_dictionaries({"builtin": st.just("identity")}),
+        st.fixed_dictionaries({"builtin": st.just("depolarizing")}),
+        # a tuple, which JSON has not: a Kraus file that holds its second
+        # entry, no list of complex matrices of one shape
+        st.tuples(st.just("kraus-file"), st.one_of(
+            _JUNK, st.just([]), st.just([[[[1.0, 0.0]], [[1.0]]]]),
+            st.just([[[[1.0, 0.0], [0.0, 0.0]]], [[[1.0, 0.0]]]]))),
+    )),
+)
+
+
+class TestDecouplingConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(bad=_BAD_FIELDS)
+    def test_malformed_field_exits_2(self, bad):
+        # a malformed channel, samples, seed or epsilon stops the run before
+        # any output is written
+        key, value = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            if isinstance(value, tuple):  # the channel is a Kraus file holding value[1]
+                kraus = os.path.join(tmp, "kraus.json")
+                with open(kraus, "w", encoding="utf-8") as fh:
+                    json.dump(value[1], fh)
+                value = kraus
+            out = os.path.join(tmp, "out.json")
+            cfg = {"schema": 1, "channel": {"builtin": "identity", "d": 2}, "samples": 3,
+                   "seed": 0, "epsilon": 0.0, "output": out}
+            cfg[key] = value
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            assert main(["decoupling", path]) == 2
+            # neither the output nor an atomic write's temporary file
+            assert set(os.listdir(tmp)) <= {"c.json", "kraus.json"}
