@@ -69,6 +69,7 @@ from .linalg import (
     purified_distance,
     random_density,
     trace_distance,
+    trace_distances,
     trace_norm,
 )
 

@@ -17,6 +17,10 @@ from .linalg import (
     isometry_deviation,
 )
 
+# The largest Kraus array, in complex entries (256 MiB), that a constructor
+# allocates itself; a Kraus array given by the caller is already allocated.
+MAX_KRAUS_ENTRIES = 1 << 24
+
 
 @dataclass(frozen=True)
 class ChoiState:
@@ -73,7 +77,14 @@ class Channel:
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
-        """Identity channel: one Kraus operator, a view of ``I_d`` (no copy)."""
+        """Identity channel: one Kraus operator, a view of ``I_d`` (no copy).
+
+        A d with ``d^2 > MAX_KRAUS_ENTRIES`` is refused before ``I_d`` is
+        allocated.
+        """
+        if d * d > MAX_KRAUS_ENTRIES:
+            raise ValueError(f"identity of dimension {d} has more than "
+                             f"{MAX_KRAUS_ENTRIES} Kraus entries")
         return cls(np.eye(d, dtype=complex)[None])
 
     # -- actions ------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Channel
 from .entropy import SDP_MAX_DIM, chain_bounds, h_max_smooth, h_min_cond, h_min_smooth
-from .linalg import haar_state, trace_distance
+from .linalg import SECULAR_BLOCK, haar_state, trace_distance, trace_distances
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -35,31 +35,48 @@ def _haar_inputs(d: int, seed: int, indices) -> np.ndarray:
                     dtype=complex).reshape(-1, d)
 
 
-def _outputs(ch: Channel, vecs):
-    """``T(|v><v|) = sum_k (K_k v)(K_k v)^dag`` for each input vector, lazily.
+def _factors(ch: Channel, vecs: np.ndarray) -> np.ndarray:
+    """Factors ``y = [K_1 v, ..., K_r v]`` of the outputs
+    ``T(|v><v|) = y y^dag``, as an (n, d_out, r) array for n input vectors.
 
-    ``y = K v`` stacks the r vectors ``K_k v`` as rows, so an output costs one
-    batched matrix-vector product and one ``y^T y*``.  The inputs are
-    normalized by construction, so no DensityMatrix check.
+    Each ``K_k v`` is its own matrix-vector product, so a slice depends on
+    its input alone, bit for bit, and not on how many inputs are stacked (one
+    matrix product over all inputs would not).  The inputs are normalized by
+    construction, so no DensityMatrix check.
     """
-    for v in vecs:
-        y = ch.kraus @ v
-        yield y.T @ y.conj()
+    y = ch.kraus @ vecs[:, None, :, None]
+    return y[..., 0].transpose(0, 2, 1)
+
+
+def _distances(ch: Channel, vecs: np.ndarray, sigma) -> np.ndarray:
+    """``||T(|v><v|) - sigma||_1`` for each input vector, by
+    :func:`trace_distances` on the outputs' factors.
+
+    The factors are built for ``max(SECULAR_BLOCK / (d_out r), d_out)``
+    inputs at a time, so those of a high-rank channel (r > d_out, larger than
+    its outputs) never all sit in memory, and a block amortizes the one
+    eigendecomposition of sigma that each call of :func:`trace_distances`
+    takes on its secular path over at least d_out samples.
+    """
+    r, d_out, _ = ch.kraus.shape
+    size = max(SECULAR_BLOCK // (d_out * r), d_out)
+    return np.concatenate([trace_distances(_factors(ch, vecs[lo:lo + size]), sigma)
+                           for lo in range(0, len(vecs), size)])
 
 
 def avg_output_distance(ch: Channel, n_samples: int, seed: int):
     """Haar-average of ``||T(phi) - T(pi)||_1`` over pure inputs.
 
-    Returns ``(mean, std, samples)``; deterministic for a given seed.
+    Returns ``(mean, std, samples)``; deterministic for a given seed.  The
+    distances come from the outputs' factors by :func:`trace_distances`, so
+    sample i depends on ``(seed, i)`` alone and a longer run starts with the
+    samples of a shorter one.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     d = ch.input_dim
     ref = ch.apply(np.eye(d, dtype=complex) / d)
-    samples = np.fromiter(
-        (trace_distance(out, ref)
-         for out in _outputs(ch, _haar_inputs(d, seed, range(n_samples)))),
-        dtype=float, count=n_samples)
+    samples = _distances(ch, _haar_inputs(d, seed, range(n_samples)), ref)
     return float(samples.mean()), float(samples.std(ddof=1) if n_samples > 1 else 0.0), samples
 
 
@@ -170,6 +187,9 @@ def converse_check(ch: Channel, eps: float, delta: float,
 
 def _trial_min_average(ch: Channel, n_samples: int, seed: int,
                        trial_random_inputs: int) -> float:
+    """Least sampled average of ``||T(phi) - omega||_1`` over the trial
+    states: ``T(pi)``, the flat state and the outputs of random inputs, each
+    compared with the sampled outputs' factors by :func:`trace_distances`."""
     d_in, d_out = ch.input_dim, ch.output_dim
     trial_vecs = _haar_inputs(d_in, seed, range(10_000, 10_000 + trial_random_inputs))
     vecs = _haar_inputs(d_in, seed, range(n_samples))
@@ -184,11 +204,8 @@ def _trial_min_average(ch: Channel, n_samples: int, seed: int,
 
     trials = [ch.apply(np.eye(d_in, dtype=complex) / d_in),
               np.eye(d_out, dtype=complex) / d_out]
-    trials += _outputs(ch, trial_vecs)
-    outputs = list(_outputs(ch, vecs))
-    averages = [float(np.mean([trace_distance(out, w) for out in outputs]))
-                for w in trials]
-    return float(min(averages))
+    trials += [y @ y.conj().T for y in _factors(ch, trial_vecs)]
+    return float(min(_distances(ch, vecs, w).mean() for w in trials))
 
 
 def convexity_gap(ch: Channel, omega, n_samples: int, seed: int):
@@ -199,9 +216,8 @@ def convexity_gap(ch: Channel, omega, n_samples: int, seed: int):
     """
     d = ch.input_dim
     lhs = trace_distance(ch.apply(np.eye(d, dtype=complex) / d), omega)
-    dists = [trace_distance(out, omega)
-             for out in _outputs(ch, _haar_inputs(d, seed, range(n_samples)))]
-    return lhs, float(np.mean(dists))
+    dists = _distances(ch, _haar_inputs(d, seed, range(n_samples)), omega)
+    return lhs, float(dists.mean())
 
 
 @dataclass

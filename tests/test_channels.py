@@ -70,6 +70,9 @@ class TestConstruction:
     def test_identity_rejections_hold(self):
         with pytest.raises(ValueError):
             Channel.identity(0)
+        # 4097^2 entries pass MAX_KRAUS_ENTRIES = 4096^2: refused unbuilt
+        with pytest.raises(ValueError, match="Kraus entries"):
+            Channel.identity(4097)
         eye = np.eye(3, dtype=complex)
         eye[1, 1] = np.nan
         with pytest.raises(ValueError, match="completeness"):

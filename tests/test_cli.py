@@ -313,6 +313,24 @@ class TestChannelCommands:
         assert "289" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["decoupling", "converse"])
+    def test_huge_identity_rejected_before_it_is_built(self, tmp_path, capsys,
+                                                       monkeypatch, command):
+        # I_d at d = 10^7 would take 1.6 PB: refused by its size, not by the
+        # MemoryError of np.eye
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated the identity")
+
+        monkeypatch.setattr(np, "eye", forbidden)
+        out = tmp_path / "out.json"
+        fields = {"epsilon": 0.05, "delta": 0.001} if command == "converse" else {}
+        cfg = write_cfg(tmp_path / "c.json",
+                        channel={"builtin": "identity", "d": 10_000_000},
+                        samples=5, seed=0, output=str(out), **fields)
+        assert main([command, cfg]) == 2
+        assert "bad channel" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unconverged_sdp_exits_3(self, tmp_path, capsys, monkeypatch):
         # a solve that did not converge yields no number
         monkeypatch.setattr(entropy, "SDP_MAX_STEPS", 1)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from memloss import decoupling
+from memloss import decoupling, linalg
 from memloss.channels import Channel, depolarizing
 from memloss.decoupling import (
     avg_output_distance,
@@ -27,6 +27,12 @@ from memloss.linalg import (
 
 def full_depolarizing():
     return Channel.from_kraus([0.5 * s for s in PAULI])
+
+
+def stinespring_channel(d, r, seed=11):
+    """``K_k = (I (x) <k|) V`` for an isometry V: C^d -> C^d (x) C^r."""
+    v = haar_unitary(r * d, seed)[:, :d].reshape(d, r, d)
+    return Channel.from_kraus(v.transpose(1, 0, 2))
 
 
 class TestAverageDistance:
@@ -56,41 +62,60 @@ class TestAverageDistance:
         with pytest.raises(ValueError):
             avg_output_distance(Channel.identity(2), 0, 0)
 
+    @pytest.mark.parametrize("block", [None, 5 * 64 * 4 * 4])
+    def test_samples_are_prefixes_of_longer_runs(self, monkeypatch, block):
+        # sample i is drawn from its own stream and its distance computed
+        # from its own factor, so it is the same bit for bit however many
+        # samples are drawn: across the blocks of the secular path (d = 64,
+        # r = 4; 32 or 5 samples a block) and on the dense path (qubit)
+        if block is not None:
+            monkeypatch.setattr(linalg, "SECULAR_BLOCK", block)
+        for ch in (stinespring_channel(64, 4), depolarizing(0.3)):
+            _, _, longer = avg_output_distance(ch, 260, 8)
+            for n in (1, 4, 5, 6, 11, 257):
+                _, _, samples = avg_output_distance(ch, n, 8)
+                assert np.array_equal(samples, longer[:n])
+
     def test_samples_match_density_matrix_path(self, monkeypatch):
-        # the outputs K v of each sampled input and their eigvalsh distances
-        # agree, to rounding, with Channel.apply on its validated
-        # DensityMatrix and the SVD trace norm, in all three Monte-Carlo
-        # consumers, and none of them validates a state it built itself
-        d, n, trials, seed = 8, 12, 3, 3
-        ch = Channel.from_kraus([np.sqrt(0.6) * haar_unitary(d, 1),
-                                 np.sqrt(0.4) * haar_unitary(d, 2)])
-        omega = random_density(d, 4).data
-
-        def outputs(indices):
-            vecs = [haar_state(d, decoupling._sample_rng(seed, i)) for i in indices]
-            return [ch.apply(DensityMatrix.single(np.outer(v, v.conj()))) for v in vecs]
-
-        outs = outputs(range(n))
-        ref = ch.apply(maximally_mixed(d))
-        want = [trace_norm(out - ref) for out in outs]
-        want_gap = float(np.mean([trace_norm(out - omega) for out in outs]))
-        candidates = [ref, maximally_mixed(d).data] + outputs(range(10_000, 10_000 + trials))
-        want_trial = min(float(np.mean([trace_norm(out - w) for out in outs]))
-                         for w in candidates)
-
+        # the outputs K v of each sampled input and their distances agree, to
+        # rounding, with Channel.apply on its validated DensityMatrix and the
+        # SVD trace norm, in all three Monte-Carlo consumers, and none of
+        # them validates a state it built itself; d = 8, r = 2 takes the
+        # dense eigensolve and d = 64, r = 4 the secular one
+        n, trials, seed = 12, 3, 3
+        channels = [Channel.from_kraus([np.sqrt(0.6) * haar_unitary(8, 1),
+                                        np.sqrt(0.4) * haar_unitary(8, 2)]),
+                    stinespring_channel(64, 4)]
         validations = []
         post_init = DensityMatrix.__post_init__
-        monkeypatch.setattr(DensityMatrix, "__post_init__",
-                            lambda self: validations.append(1) or post_init(self))
-        _, _, samples = avg_output_distance(ch, n, seed)
-        assert np.abs(samples - want).max() < 1e-12
-        assert abs(convexity_gap(ch, omega, n, seed)[1] - want_gap) < 1e-12
-        # no channel small enough for a dense Choi state fires the converse;
-        # force it, to reach the sampled trial check
-        monkeypatch.setattr(decoupling, "h_max_smooth", lambda lam, eps: -np.inf)
-        res = converse_check(ch, 0.05, 0.001, n_samples=n, seed=seed,
-                             trial_random_inputs=trials)
-        assert res.fires and abs(res.trial_min_avg - want_trial) < 1e-12
+        for ch in channels:
+            d = ch.input_dim
+            omega = random_density(d, 4).data
+
+            def outputs(indices):
+                vecs = [haar_state(d, decoupling._sample_rng(seed, i)) for i in indices]
+                return [ch.apply(DensityMatrix.single(np.outer(v, v.conj()))) for v in vecs]
+
+            outs = outputs(range(n))
+            ref = ch.apply(maximally_mixed(d))
+            want = [trace_norm(out - ref) for out in outs]
+            want_gap = float(np.mean([trace_norm(out - omega) for out in outs]))
+            candidates = [ref, maximally_mixed(d).data] + outputs(range(10_000, 10_000 + trials))
+            want_trial = min(float(np.mean([trace_norm(out - w) for out in outs]))
+                             for w in candidates)
+
+            monkeypatch.setattr(DensityMatrix, "__post_init__",
+                                lambda self: validations.append(1) or post_init(self))
+            _, _, samples = avg_output_distance(ch, n, seed)
+            assert np.abs(samples - want).max() < 1e-12
+            assert abs(convexity_gap(ch, omega, n, seed)[1] - want_gap) < 1e-12
+            # no channel small enough for a dense Choi state fires the
+            # converse; force it, to reach the sampled trial check
+            monkeypatch.setattr(decoupling, "h_max_smooth", lambda lam, eps: -np.inf)
+            res = converse_check(ch, 0.05, 0.001, n_samples=n, seed=seed,
+                                 trial_random_inputs=trials)
+            assert res.fires and abs(res.trial_min_avg - want_trial) < 1e-12
+            monkeypatch.undo()
         # the flat states are plain arrays, and the spectra come from the
         # Kraus operators, so no Choi state or B marginal is built either
         assert validations == []
@@ -237,9 +262,7 @@ class TestConverse:
 
         monkeypatch.setattr(Channel, "choi", forbidden)
         d, eps = 64, 0.05
-        # K_k = (I (x) <k|) V for an isometry V: C^d -> C^d (x) C^4
-        v = haar_unitary(4 * d, 11)[:, :d].reshape(d, 4, d)
-        ch = Channel.from_kraus(v.transpose(1, 0, 2))
+        ch = stinespring_channel(d, 4)
         res = converse_check(ch, eps, 0.001)
         out = sum(k @ k.conj().T for k in ch.kraus) / d
         assert abs(res.h_min_output - h_min_smooth(np.linalg.eigvalsh(out), eps)) < 1e-12

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.blas import zherk
 
+from memloss import linalg
 from memloss.linalg import (
     DensityMatrix,
     Evolver,
@@ -21,6 +22,7 @@ from memloss.linalg import (
     purified_distance,
     random_density,
     trace_distance,
+    trace_distances,
     trace_norm,
 )
 
@@ -196,6 +198,103 @@ class TestDistances:
             f = fidelity(a, b)
             td = trace_distance(a, b)
             assert 2 * (1 - f) - 1e-10 <= td <= 2 * np.sqrt(1 - f * f) + 1e-10
+
+
+def _low_rank_case(d, r, sigma_kind, factor_kind, seed, n=6):
+    """n factors y (d x r) and a state sigma, in the shapes the Monte-Carlo
+    consumers meet: singular, flat and pure sigma; deficient factors; and
+    factors whose positive eigenvalues in y y^dag - sigma are degenerate."""
+    rng = np.random.default_rng(seed)
+    k = max(1, d // 3)
+    iso = haar_unitary(d, rng)[:, :k]
+    if sigma_kind == "random":
+        sigma = random_density(d, rng).data
+    elif sigma_kind == "flat":
+        sigma = np.eye(d, dtype=complex) / d
+    elif sigma_kind == "pure":
+        v = haar_state(d, rng)
+        sigma = np.outer(v, v.conj())
+    else:  # the average output of an isometry C^k -> C^d: flat on its range
+        sigma = iso @ iso.conj().T / k
+    g = rng.standard_normal((n, d, r)) + 1j * rng.standard_normal((n, d, r))
+    if factor_kind == "deficient":
+        g[:, :, -1] = 0.5 * g[:, :, 0]
+        if r > 2:
+            g[:, :, 1] = 0.0
+    elif factor_kind == "degenerate":
+        g = np.array([haar_unitary(d, rng)[:, :r] for _ in range(n)])
+    elif factor_kind == "support":
+        g = iso @ g[:, :k, :]
+    ys = g / np.linalg.norm(g, axis=(1, 2))[:, None, None]
+    return ys * rng.uniform(0.5, 1.0), sigma
+
+
+def _dense(ys, sigma):
+    return np.array([trace_distance(y @ y.conj().T, sigma) for y in ys])
+
+
+class TestTraceDistances:
+    """The secular path of :func:`trace_distances` against the dense
+    :func:`trace_distance`, which stays its oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 4),
+           st.sampled_from(["random", "flat", "pure", "isometry"]),
+           st.sampled_from(["random", "deficient", "degenerate", "support"]),
+           st.integers(0, 2**32 - 1))
+    @example(64, 4, "random", "random", 0)
+    @example(64, 4, "isometry", "support", 1)
+    @example(48, 1, "isometry", "support", 2)
+    @example(64, 1, "pure", "random", 3)
+    @example(40, 4, "flat", "degenerate", 4)
+    @example(33, 4, "isometry", "degenerate", 5)
+    @example(64, 3, "pure", "deficient", 6)
+    @example(9, 2, "random", "deficient", 7)
+    def test_matches_dense(self, d, r, sigma_kind, factor_kind, seed):
+        r = min(r, d)
+        ys, sigma = _low_rank_case(d, r, sigma_kind, factor_kind, seed)
+        assert np.abs(trace_distances(ys, sigma) - _dense(ys, sigma)).max() < 1e-12
+
+    def test_degenerate_positive_eigenvalues(self):
+        # y y^dag = P / 4 for a rank-4 projector P and a flat sigma: A's four
+        # positive eigenvalues all equal 1/4 - 1/64
+        d, r = 64, 4
+        ys = np.array([haar_unitary(d, s)[:, :r] / 2 for s in range(5)])
+        got = trace_distances(ys, np.eye(d) / d)
+        want = 2 * r * (1 / 4 - 1 / d)  # 2 sum l_+ - tr A, with tr A = 1 - 1
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_sweep_cap_falls_back_to_dense(self, monkeypatch, cap):
+        # a sample whose roots are not found within the cap takes the dense
+        # eigensolve: the same values, and no unconverged number
+        ys, sigma = _low_rank_case(64, 4, "random", "random", 11, n=9)
+        converged = trace_distances(ys, sigma)
+        calls = []
+        dense = linalg.trace_distance
+        monkeypatch.setattr(linalg, "SECULAR_MAX_SWEEPS", cap)
+        monkeypatch.setattr(linalg, "trace_distance",
+                            lambda a, b: calls.append(1) or dense(a, b))
+        capped = trace_distances(ys, sigma)
+        assert len(calls) == len(ys)
+        assert np.array_equal(capped, _dense(ys, sigma))
+        assert np.abs(capped - converged).max() < 1e-12
+
+    def test_dense_path_for_high_rank_and_non_states(self, monkeypatch):
+        # 2 r^2 >= d, or a sigma with a negative eigenvalue: no secular solve
+        def forbidden(*args):
+            raise AssertionError("took the secular path")
+
+        monkeypatch.setattr(linalg, "_secular_distances", forbidden)
+        ys, sigma = _low_rank_case(32, 4, "random", "random", 12)
+        assert np.abs(trace_distances(ys, sigma) - _dense(ys, sigma)).max() < 1e-12
+        ys, _ = _low_rank_case(64, 2, "random", "random", 13)
+        sigma = np.diag(np.linspace(-0.1, 0.1, 64)).astype(complex)
+        assert np.abs(trace_distances(ys, sigma) - _dense(ys, sigma)).max() < 1e-12
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            trace_distances(np.zeros((2, 4, 1)), np.eye(3) / 3)
 
 
 class TestRandomStates:
