@@ -61,6 +61,7 @@ from .linalg import (
     SubsystemLayout,
     fidelity,
     haar_state,
+    haar_states,
     haar_unitary,
     kron,
     max_entangled,

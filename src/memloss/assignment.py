@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HamiltonianSpec
-from .linalg import (ISOMETRY_TOL, fidelity, haar_state, hermitian_eig,
+from .linalg import (ISOMETRY_TOL, fidelity, haar_states, hermitian_eig,
                      isometry_deviation, kron, trace_distance)
 
 
@@ -207,9 +207,9 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
     mc_bound = float(np.exp(-(d_e ** (1.0 / 3.0)) / 16.0))
     # columns phi (x) the flat environment's basis / sqrt(d_E), then one
     # column phi (x) psi_i per Haar-random environment state
-    psis = [haar_state(d_e, np.random.default_rng([seed, i]))
-            for i in range(n_env_samples)]
-    x0 = kron(phi[:, None], np.column_stack([np.eye(d_e) / np.sqrt(d_e), *psis]))
+    psis = haar_states(d_e, [np.random.default_rng([seed, i])
+                             for i in range(n_env_samples)])
+    x0 = kron(phi[:, None], np.column_stack([np.eye(d_e) / np.sqrt(d_e), psis.T]))
     phi_dm = np.outer(phi, phi.conj())
     fid_floor = 2.0 * result.delta_phi ** 2 - 1.0
     max_dist = 0.0

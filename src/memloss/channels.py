@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .entropy import von_neumann
 from .linalg import (
@@ -18,7 +19,9 @@ from .linalg import (
 )
 
 # The largest Kraus array, in complex entries (256 MiB), that a constructor
-# allocates itself; a Kraus array given by the caller is already allocated.
+# allocates itself, and the largest identity channel: its Kraus array is an
+# O(d) view, but apply, choi, dilation_state and the Haar-sampling distances
+# of decoupling make it dense.
 MAX_KRAUS_ENTRIES = 1 << 24
 
 
@@ -77,15 +80,26 @@ class Channel:
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
-        """Identity channel: one Kraus operator, a view of ``I_d`` (no copy).
+        """Identity channel: its one Kraus operator ``I_d`` is a read-only
+        view of ``b = e_{d-1}`` in C^{2d-1}, O(d) memory.
 
-        A d with ``d^2 > MAX_KRAUS_ENTRIES`` is refused before ``I_d`` is
+        Row i of ``I_d`` is ``b[d-1-i : 2d-1-i]``, so the view starts at
+        ``b[d-1]`` and steps one entry back per row.  It is exact by
+        construction, so it skips the completeness check.  A d below 1, or
+        with ``d^2 > MAX_KRAUS_ENTRIES``, is refused before anything is
         allocated.
         """
+        if d < 1:
+            raise ValueError(f"identity of dimension {d}: need d >= 1")
         if d * d > MAX_KRAUS_ENTRIES:
             raise ValueError(f"identity of dimension {d} has more than "
                              f"{MAX_KRAUS_ENTRIES} Kraus entries")
-        return cls(np.eye(d, dtype=complex)[None])
+        b = np.zeros(2 * d - 1, dtype=complex)
+        b[d - 1] = 1.0
+        step = b.itemsize
+        ch = cls.__new__(cls)
+        ch.kraus = as_strided(b[d - 1:], (1, d, d), (0, -step, step), writeable=False)
+        return ch
 
     # -- actions ------------------------------------------------------------
 
@@ -95,7 +109,8 @@ class Channel:
         if rho.shape != (self.input_dim, self.input_dim):
             raise ValueError("input dimension mismatch")
         out = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        for k in self.kraus:
+        # C order for BLAS: the identity's strided view is copied dense
+        for k in np.ascontiguousarray(self.kraus):
             out += k @ rho @ k.conj().T
         return out
 
@@ -112,7 +127,7 @@ class Channel:
         if rho.shape != (self.input_dim, self.input_dim):
             raise ValueError("input dimension mismatch")
         r, d_out, d_in = self.kraus.shape
-        v = self.kraus.transpose(1, 0, 2).reshape(d_out * r, d_in)
+        v = np.ascontiguousarray(self.kraus).transpose(1, 0, 2).reshape(d_out * r, d_in)
         layout = SubsystemLayout.of(("S", d_out), ("E", r))
         return DensityMatrix(v @ rho @ v.conj().T, layout)
 

@@ -129,6 +129,16 @@ def _number(cfg: dict, key: str, kind=float, default=None):
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
+def _seed(cfg: dict) -> int:
+    """The required ``seed`` field, an integer >= 0: numpy's generators
+    refuse a negative seed, and so does a run that draws nothing (a converse
+    that does not fire)."""
+    seed = _number(cfg, "seed", int)
+    if seed < 0:
+        raise ConfigError(f"bad seed: expected an integer >= 0, got {seed}")
+    return seed
+
+
 def _times_of(cfg: dict) -> list[float]:
     times = _require(cfg, "times")
     try:
@@ -232,7 +242,7 @@ def run_decoupling(cfg: dict) -> int:
         raise ConfigError(f"bad deltas: {exc}") from exc
     report = decoupling.decoupling_report(
         ch, n_samples=_number(cfg, "samples", int, default=200),
-        seed=_number(cfg, "seed", int), deltas=deltas,
+        seed=_seed(cfg), deltas=deltas,
         eps=_number(cfg, "epsilon", default=0.0))
     if "output" in cfg:
         atomic_write_text(cfg["output"], report.to_json() + "\n")
@@ -246,7 +256,7 @@ def run_converse(cfg: dict) -> int:
     res = decoupling.converse_check(
         ch, eps=_number(cfg, "epsilon"), delta=_number(cfg, "delta"),
         n_samples=_number(cfg, "samples", int, default=50),
-        seed=_number(cfg, "seed", int))
+        seed=_seed(cfg))
     if "output" in cfg:
         obj = {"fires": res.fires, "h_max_joint": res.h_max_joint,
                "h_min_output": res.h_min_output, "lhs": res.lhs,
@@ -299,7 +309,7 @@ def run_absence(cfg: dict) -> int:
         raise ConfigError(f"bad phi: {exc}") from exc
     report = assignment.verify_absence(
         spec, phi, _times_of(cfg), n_env_samples=_number(cfg, "samples", int, default=20),
-        seed=_number(cfg, "seed", int))
+        seed=_seed(cfg))
     if "output" in cfg:
         atomic_write_text(cfg["output"], report.to_json() + "\n")
     print(f"absence: delta_phi={report.delta_phi:.6f} bound={report.bound:.6f} "

@@ -19,7 +19,8 @@ import numpy as np
 
 from .channels import Channel
 from .entropy import SDP_MAX_DIM, chain_bounds, h_max_smooth, h_min_cond, h_min_smooth
-from .linalg import SECULAR_BLOCK, haar_state, trace_distance, trace_distances
+from .linalg import (SECULAR_BLOCK, _trace_distances, as_matrix, haar_states,
+                     secular_path, trace_distance)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -31,11 +32,10 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 def _haar_inputs(d: int, seed: int, indices) -> np.ndarray:
     """Amplitudes of the Haar-random pure input drawn for each index, one row
     per index."""
-    return np.array([haar_state(d, _sample_rng(seed, i)) for i in indices],
-                    dtype=complex).reshape(-1, d)
+    return haar_states(d, [_sample_rng(seed, i) for i in indices])
 
 
-def _factors(ch: Channel, vecs: np.ndarray) -> np.ndarray:
+def _factors(kraus: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Factors ``y = [K_1 v, ..., K_r v]`` of the outputs
     ``T(|v><v|) = y y^dag``, as an (n, d_out, r) array for n input vectors.
 
@@ -44,7 +44,7 @@ def _factors(ch: Channel, vecs: np.ndarray) -> np.ndarray:
     matrix product over all inputs would not).  The inputs are normalized by
     construction, so no DensityMatrix check.
     """
-    y = ch.kraus @ vecs[:, None, :, None]
+    y = kraus @ vecs[:, None, :, None]
     return y[..., 0].transpose(0, 2, 1)
 
 
@@ -54,13 +54,19 @@ def _distances(ch: Channel, vecs: np.ndarray, sigma) -> np.ndarray:
 
     The factors are built for ``max(SECULAR_BLOCK / (d_out r), d_out)``
     inputs at a time, so those of a high-rank channel (r > d_out, larger than
-    its outputs) never all sit in memory, and a block amortizes the one
-    eigendecomposition of sigma that each call of :func:`trace_distances`
-    takes on its secular path over at least d_out samples.
+    its outputs) never all sit in memory.  Where :func:`trace_distances`
+    takes its secular path, sigma is decomposed once here and every block
+    reuses it.  The Kraus array is made C-ordered once, so the identity's
+    strided view reaches the factors' products as a dense array.
     """
-    r, d_out, _ = ch.kraus.shape
+    kraus = np.ascontiguousarray(ch.kraus)
+    r, d_out, _ = kraus.shape
+    s = as_matrix(sigma)
+    if s.shape != (d_out, d_out):
+        raise ValueError(f"dimension mismatch: outputs of dimension {d_out} vs {s.shape}")
     size = max(SECULAR_BLOCK // (d_out * r), d_out)
-    return np.concatenate([trace_distances(_factors(ch, vecs[lo:lo + size]), sigma)
+    eig = np.linalg.eigh(s) if secular_path(d_out, r) else None
+    return np.concatenate([_trace_distances(_factors(kraus, vecs[lo:lo + size]), s, eig)
                            for lo in range(0, len(vecs), size)])
 
 
@@ -142,7 +148,7 @@ class ConverseResult:
     h_min_output: float      # smoothed min-entropy of the B marginal
     lhs: float               # h_max_joint + both logarithmic penalty terms
     penalty_smoothing: float  # log2 1/(1 - (sqrt(2 delta) + 4 eps)^2)
-    penalty_eps: float        # log2 2/eps^2
+    penalty_eps: float        # log2 2/eps^2 = 1 - 2 log2 eps
     trial_min_avg: float | None  # min over trial omega_B of avg distance
     empirical_ok: bool | None    # trial_min_avg > delta/2 (None if not fired)
 
@@ -170,7 +176,8 @@ def converse_check(ch: Channel, eps: float, delta: float,
     h_max_joint = h_max_smooth(joint, eps)
     h_min_output = h_min_smooth(marg_b, eps)
     penalty_smoothing = float(np.log2(1.0 / (1.0 - shift * shift)))
-    penalty_eps = float(np.log2(2.0 / (eps * eps)))
+    # log2 2/eps^2 without eps^2, which is 0 below eps = 1e-162
+    penalty_eps = float(1.0 - 2.0 * np.log2(eps))
     lhs = h_max_joint + penalty_smoothing + penalty_eps
     fires = lhs < h_min_output
     trial_min_avg = None
@@ -204,7 +211,7 @@ def _trial_min_average(ch: Channel, n_samples: int, seed: int,
 
     trials = [ch.apply(np.eye(d_in, dtype=complex) / d_in),
               np.eye(d_out, dtype=complex) / d_out]
-    trials += [y @ y.conj().T for y in _factors(ch, trial_vecs)]
+    trials += [y @ y.conj().T for y in _factors(ch.kraus, trial_vecs)]
     return float(min(_distances(ch, vecs, w).mean() for w in trials))
 
 

@@ -127,18 +127,9 @@ def isometry_deviation(v: np.ndarray) -> float:
     ``v.T v* = conj(v^dag v)`` without a copy of ``v``, at half the flops of
     the full product; the other triangle stays zero, so its entries count as
     ``|0 - 0|`` and the maximum is the same as over the whole matrix.
-
-    An exact ``[I; 0]`` (the identity channel's Kraus operator) returns 0.0
-    from an O(n d) scan: ``zherk`` would multiply only 0s and 1s and return
-    exactly I, so the value is the same bit for bit. The O(d) diagonal test
-    comes first, so any other array falls through at once; a NaN or inf
-    fails ``== 1`` on the diagonal and counts as nonzero off it.
     """
     if not v.size:
         return math.nan
-    d = v.shape[1]
-    if len(v) >= d and (np.diagonal(v) == 1).all() and np.count_nonzero(v) == d:
-        return 0.0
     g = zherk(1.0, v.T)
     g.flat[:: len(g) + 1] -= 1.0
     return float(np.abs(g).max())
@@ -347,15 +338,22 @@ def trace_distance(rho, sigma) -> float:
     return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
+def secular_path(d: int, r: int) -> bool:
+    """Whether :func:`trace_distances` takes d x r factors by the secular
+    path, which decomposes sigma; ``2 r^2 >= d`` takes the dense one."""
+    return 2 * r * r < d
+
+
 def trace_distances(ys, sigma) -> np.ndarray:
     """``||y_s y_s^dag - sigma||_1`` for each d x r factor of a stack ``ys``
     of shape (n, d, r), against one state ``sigma``.
 
     A stack with ``2 r^2 >= d`` costs one :func:`trace_distance` of a d x d
-    difference per sample.  Below that, where it measured faster on one BLAS
-    thread (d = 4 to 256, r = 1 to 12), the d x d eigenproblem becomes r x r
-    ones, the low-rank update of a diagonal matrix (Golub, SIAM Rev. 15, 318,
-    1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 31, 1978): with
+    difference per sample.  Below that (:func:`secular_path`), where it
+    measured faster on one BLAS thread (d = 4 to 256, r = 1 to 12), the
+    d x d eigenproblem becomes r x r ones, the low-rank update of a diagonal
+    matrix (Golub, SIAM Rev. 15, 318, 1973; Bunch, Nielsen and Sorensen,
+    Numer. Math. 31, 31, 1978): with
     ``sigma = V diag(t) V^dag`` and ``G = V^dag y``, the difference
     ``A = G G^dag - diag(t)`` has at most r positive eigenvalues, and
     ``||A||_1 = 2 sum_{l>0} l - tr A`` (:func:`_secular_distances`).  That
@@ -368,12 +366,21 @@ def trace_distances(ys, sigma) -> np.ndarray:
     """
     ys = np.asarray(ys, dtype=complex)
     s = as_matrix(sigma)
-    n, d, r = ys.shape
+    _, d, r = ys.shape
     if s.shape != (d, d):
         raise ValueError(f"dimension mismatch: {d} x {r} factors vs {s.shape}")
+    return _trace_distances(ys, s, np.linalg.eigh(s) if secular_path(d, r) else None)
+
+
+def _trace_distances(ys: np.ndarray, s: np.ndarray, eig) -> np.ndarray:
+    """:func:`trace_distances` of a complex stack ``ys`` against a matrix
+    ``s`` of matching shape, given ``eig = np.linalg.eigh(s)`` where
+    :func:`secular_path` holds (None elsewhere): a caller that takes several
+    stacks against one ``s`` decomposes it once."""
+    n, d, r = ys.shape
     dist, ok = np.empty(n), np.zeros(n, dtype=bool)
-    if 2 * r * r < d:
-        t, v = np.linalg.eigh(s)
+    if eig is not None:
+        t, v = eig
         if t[0] >= -d * _EPS * abs(t[-1]):
             t, vh = np.clip(t, 0.0, None), v.conj().T
             size = max(1, SECULAR_BLOCK // (d * r * r))
@@ -491,20 +498,38 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def haar_state(d: int, seed=None) -> np.ndarray:
-    """Haar-random unit vector: a normalized complex Gaussian vector.
+def haar_states(d: int, seeds) -> np.ndarray:
+    """Haar-random unit vectors, one row per seed (an int, None or a
+    Generator, as for :func:`haar_state`), each drawn from its own stream.
 
-    The global phase is fixed deterministically (largest-magnitude component
-    made real positive), which leaves the distribution on rays unchanged.
+    Each row is a normalized complex Gaussian vector, its global phase fixed
+    deterministically (largest-magnitude component made real positive),
+    which leaves the distribution on rays unchanged.  The rows are
+    normalized and phase-fixed together; a row's squared norm is the two
+    strided dot products of its real and imaginary parts, and its phase is
+    applied one row times one scalar, so a row does not depend on how many
+    are drawn with it.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = _rng(seed)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    pivot = int(np.argmax(np.abs(v)))
-    v *= np.exp(-1j * np.angle(v[pivot]))
+    seeds = list(seeds)
+    g = np.empty((len(seeds), 2, d))
+    for row, seed in zip(g, seeds):
+        # the real parts, then the imaginary parts
+        _rng(seed).standard_normal(out=row)
+    v = g[:, 0] + 1j * g[:, 1]
+    sq = (np.matmul(v.real[:, None, :], v.real[:, :, None])
+          + np.matmul(v.imag[:, None, :], v.imag[:, :, None]))
+    v /= np.sqrt(sq[:, 0])
+    pivots = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    for row, phase in zip(v, np.exp(-1j * np.angle(pivots))):
+        row *= phase
     return v
+
+
+def haar_state(d: int, seed=None) -> np.ndarray:
+    """Haar-random unit vector: the one row of :func:`haar_states`."""
+    return haar_states(d, [seed])[0]
 
 
 def haar_unitary(d: int, seed=None) -> np.ndarray:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memloss.channels import Channel, depolarizing, iid_threshold
+from memloss.decoupling import avg_output_distance, converse_check
 from memloss.entropy import h_max_smooth, shannon
 from memloss.linalg import (
     PAULI,
@@ -57,8 +60,8 @@ class TestConstruction:
             Channel.from_kraus([0.9 * np.eye(2)])
 
     def test_identity_skips_the_product(self, monkeypatch):
-        # an exact identity is complete by an O(d^2) scan, with no 2048^3
-        # zherk; any other Kraus array still takes the product
+        # an identity is complete by construction, with no 2048^3 zherk;
+        # any other Kraus array still takes the product
         def no_product(*args, **kwargs):
             raise AssertionError("zherk called")
 
@@ -67,12 +70,18 @@ class TestConstruction:
         with pytest.raises(AssertionError, match="zherk called"):
             Channel.from_kraus([np.eye(2)[::-1]])
 
-    def test_identity_rejections_hold(self):
-        with pytest.raises(ValueError):
-            Channel.identity(0)
-        # 4097^2 entries pass MAX_KRAUS_ENTRIES = 4096^2: refused unbuilt
-        with pytest.raises(ValueError, match="Kraus entries"):
-            Channel.identity(4097)
+    def test_identity_rejections_hold(self, monkeypatch):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "zeros", no_alloc)
+            for d in (0, -3):
+                with pytest.raises(ValueError, match="need d >= 1"):
+                    Channel.identity(d)
+            # 4097^2 entries pass MAX_KRAUS_ENTRIES = 4096^2: refused unbuilt
+            with pytest.raises(ValueError, match="Kraus entries"):
+                Channel.identity(4097)
         eye = np.eye(3, dtype=complex)
         eye[1, 1] = np.nan
         with pytest.raises(ValueError, match="completeness"):
@@ -144,6 +153,61 @@ class TestConstruction:
         rho = random_density(d_s, 8).data
         ref = sum(k @ rho @ k.conj().T for k in want)
         assert np.allclose(ch.apply(rho), ref, atol=1e-14)
+
+
+class TestIdentityView:
+    """``Channel.identity`` holds ``I_d`` as an O(d) read-only view; every
+    consumer reads it as it reads a dense ``np.eye(d)[None]``."""
+
+    @staticmethod
+    def pair(d):
+        return Channel.identity(d), Channel.from_kraus(np.eye(d, dtype=complex)[None])
+
+    def test_kraus_is_exact_and_read_only(self):
+        for d in range(1, 65):
+            ks = Channel.identity(d).kraus
+            assert ks.dtype == complex and ks.shape == (1, d, d)
+            assert ks.tobytes() == np.eye(d, dtype=complex)[None].tobytes()
+            assert not ks.flags.writeable
+            with pytest.raises(ValueError):
+                ks[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 64])
+    def test_consumers_match_dense_bit_for_bit(self, d):
+        view, dense = self.pair(d)
+        rho = random_density(d, d).data
+        assert view.apply(rho).tobytes() == dense.apply(rho).tobytes()
+        assert (view.dilation_state(rho).data.tobytes()
+                == dense.dilation_state(rho).data.tobytes())
+        for a, b in zip(view.choi_spectra(), dense.choi_spectra()):
+            assert a.tobytes() == b.tobytes()
+        if d <= 16:  # the Choi state's validation is a d^2 x d^2 eigvalsh
+            assert view.choi().state.data.tobytes() == dense.choi().state.data.tobytes()
+        for a, b in zip(avg_output_distance(view, 30, d), avg_output_distance(dense, 30, d)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 64, 1024])
+    def test_converse_matches_dense(self, d):
+        # d = 1024 fires and runs the trial states; smaller d does not
+        view, dense = self.pair(d)
+        a, b = (converse_check(ch, 0.05, 0.001, n_samples=5, seed=3) for ch in (view, dense))
+        assert repr(a) == repr(b)
+        assert a.fires == (d == 1024)
+
+    def test_memory_is_o_of_d(self):
+        tracemalloc.start()
+        try:
+            ch = Channel.identity(2048)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            res = converse_check(ch, 0.05, 0.001, n_samples=50, seed=0)
+            checked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense I_2048 alone is 64 MiB
+        assert built < 1 << 20
+        assert checked < 8 << 20
+        assert res.fires and res.empirical_ok
 
 
 class TestActions:

@@ -360,6 +360,35 @@ class TestChannelCommands:
         assert "bad channel" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_converse_subnormal_epsilon(self, tmp_path, capsys):
+        # eps^2 is 0 below eps = 1e-162; the penalty log2 2/eps^2 is taken
+        # as 1 - 2 log2 eps, which stays finite
+        out = tmp_path / "conv.json"
+        cfg = write_cfg(tmp_path / "c.json",
+                        channel={"builtin": "identity", "d": 1024},
+                        epsilon=1e-320, delta=0.001, samples=5, seed=0,
+                        output=str(out))
+        assert main(["converse", cfg]) == 0
+        obj = json.loads(out.read_text())
+        assert np.isfinite(obj["lhs"]) and obj["fires"] is False
+        assert abs(obj["lhs"] - (1.0 - 2.0 * np.log2(1e-320)) - obj["h_max_joint"]
+                   - np.log2(1.0 / (1.0 - (np.sqrt(0.002) + 4e-320) ** 2))) < 1e-9
+
+    @pytest.mark.parametrize("command", ["converse", "decoupling", "absence"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        # converse on identity(2) never fires and draws nothing, yet its
+        # seed is refused as decoupling's and absence's are
+        fields = {"channel": {"builtin": "identity", "d": 2}, "epsilon": 0.05,
+                  "delta": 0.001, "samples": 2, "seed": -1,
+                  "hamiltonian": TestIntegerFields.chain, "times": [0.0, 1.0],
+                  "phi": [[1.0, 0.0], [0.0, 0.0]]}
+        out = tmp_path / "out.json"
+        cfg = write_cfg(tmp_path / "c.json", output=str(out),
+                        **{k: v for k, v in fields.items() if k in READS[command]})
+        assert main([command, cfg]) == 2
+        assert "bad seed: expected an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_converse_needs_a_sample(self, tmp_path, capsys, samples):
         # no trial average of no samples: the flat-state constant alone
@@ -651,6 +680,24 @@ _BAD_FIELDS = st.one_of(
 )
 
 
+def _assert_exits_2_unwritten(command, cfg, fields):
+    """Run ``command`` on ``cfg`` updated with ``fields``, in a fresh directory;
+    a channel given as a tuple is a Kraus file holding its second entry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, schema=1, output=os.path.join(tmp, "out.json"), **fields)
+        if isinstance(cfg["channel"], tuple):
+            kraus = os.path.join(tmp, "kraus.json")
+            with open(kraus, "w", encoding="utf-8") as fh:
+                json.dump(cfg["channel"][1], fh)
+            cfg["channel"] = kraus
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        assert main([command, path]) == 2
+        # neither the output nor an atomic write's temporary file
+        assert set(os.listdir(tmp)) <= {"c.json", "kraus.json"}
+
+
 class TestDecouplingConfigFuzz:
     @settings(max_examples=200, deadline=None)
     @given(bad=_BAD_FIELDS)
@@ -658,19 +705,45 @@ class TestDecouplingConfigFuzz:
         # a malformed channel, samples, seed or epsilon stops the run before
         # any output is written
         key, value = bad
-        with tempfile.TemporaryDirectory() as tmp:
-            if isinstance(value, tuple):  # the channel is a Kraus file holding value[1]
-                kraus = os.path.join(tmp, "kraus.json")
-                with open(kraus, "w", encoding="utf-8") as fh:
-                    json.dump(value[1], fh)
-                value = kraus
-            out = os.path.join(tmp, "out.json")
-            cfg = {"schema": 1, "channel": {"builtin": "identity", "d": 2}, "samples": 3,
-                   "seed": 0, "epsilon": 0.0, "output": out}
-            cfg[key] = value
-            path = os.path.join(tmp, "c.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(cfg, fh)
-            assert main(["decoupling", path]) == 2
-            # neither the output nor an atomic write's temporary file
-            assert set(os.listdir(tmp)) <= {"c.json", "kraus.json"}
+        _assert_exits_2_unwritten("decoupling", {"channel": {"builtin": "identity", "d": 2},
+                                                 "samples": 3, "seed": 0, "epsilon": 0.0},
+                                  {key: value})
+
+
+# the positive subnormal floats, 5e-324 up to the least normal float
+_SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
+
+_BAD_CONVERSE_FIELDS = st.one_of(
+    _BAD_FIELDS.filter(lambda bad: bad[0] != "epsilon"),
+    # eps and delta must be positive: zero and negative values, negative
+    # subnormals among them, are malformed (a positive subnormal is valid)
+    st.tuples(st.sampled_from(["epsilon", "delta"]), st.one_of(
+        _JUNK, st.just(0.0), st.just(-0.0), _SUBNORMAL.map(lambda x: -x),
+        st.floats(max_value=-1e-300), st.integers(max_value=-1),
+        st.just(float("nan")), st.just(float("inf")), st.just(float("-inf")))),
+)
+
+# (eps, delta) pairs with sqrt(2 delta) + 4 eps >= 1, subnormal ones among them
+_BROKEN_SHIFT = st.one_of(
+    st.tuples(st.floats(min_value=0.25, max_value=1e300), st.floats(5e-324, 1e300)),
+    st.tuples(st.floats(5e-324, 1e300), st.floats(min_value=0.5, max_value=1e300)),
+    st.tuples(_SUBNORMAL, st.floats(min_value=0.5, max_value=1e300)),
+    st.tuples(st.floats(min_value=0.25, max_value=1e300), _SUBNORMAL),
+    st.floats(0.0, 0.25).map(lambda e: (e, 0.5 * (1.0 - 4.0 * e) ** 2)).filter(
+        lambda p: p[0] > 0.0 and p[1] > 0.0
+        and not np.sqrt(2.0 * p[1]) + 4.0 * p[0] < 1.0),
+)
+
+
+class TestConverseConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(bad=st.one_of(_BAD_CONVERSE_FIELDS,
+                         _BROKEN_SHIFT.map(lambda pair: ("shift", pair))))
+    def test_malformed_field_exits_2(self, bad):
+        # a malformed channel, samples, seed, epsilon or delta, or a pair
+        # with sqrt(2 delta) + 4 eps >= 1, stops the run before any output
+        key, value = bad
+        fields = dict(zip(("epsilon", "delta"), value)) if key == "shift" else {key: value}
+        _assert_exits_2_unwritten("converse", {"channel": {"builtin": "identity", "d": 2},
+                                               "samples": 3, "seed": 0, "epsilon": 0.05,
+                                               "delta": 0.001}, fields)

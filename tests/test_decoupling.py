@@ -76,6 +76,51 @@ class TestAverageDistance:
                 _, _, samples = avg_output_distance(ch, n, 8)
                 assert np.array_equal(samples, longer[:n])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 1024])
+    def test_haar_inputs_match_haar_state(self, d):
+        # the batched normalization and phase fix round as haar_state does
+        indices = list(range(300)) + list(range(10_000, 10_010))
+        rows = decoupling._haar_inputs(d, 17, indices)
+        want = [haar_state(d, decoupling._sample_rng(17, i)) for i in indices]
+        assert rows.tobytes() == np.array(want).tobytes()
+
+    def test_factors_take_a_dense_kraus_array(self, monkeypatch):
+        # the identity's strided view is made C-ordered once per call, so
+        # its products run through BLAS
+        factors, layouts = decoupling._factors, []
+
+        def recorded(kraus, vecs):
+            layouts.append(kraus.flags.c_contiguous)
+            return factors(kraus, vecs)
+
+        monkeypatch.setattr(decoupling, "_factors", recorded)
+        ch = Channel.identity(64)
+        assert not ch.kraus.flags.c_contiguous
+        avg_output_distance(ch, 300, 3)
+        convexity_gap(ch, np.eye(64) / 64, 300, 3)
+        assert layouts and all(layouts)
+
+    def test_sigma_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            convexity_gap(Channel.identity(3), np.eye(2) / 2, 10, 0)
+
+    def test_sigma_is_decomposed_once(self, monkeypatch):
+        # d = 64, r = 4 takes the secular path in blocks of 128 samples: the
+        # dense eigh of sigma is taken once per call, not once per block
+        ch = stinespring_channel(64, 4)
+        want = avg_output_distance(ch, 1000, 6)[2]
+        eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        samples = avg_output_distance(ch, 1000, 6)[2]
+        assert calls == [(64, 64)]
+        assert np.array_equal(samples, want)
+
     def test_samples_match_density_matrix_path(self, monkeypatch):
         # the outputs K v of each sampled input and their distances agree, to
         # rounding, with Channel.apply on its validated DensityMatrix and the

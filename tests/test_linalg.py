@@ -12,6 +12,7 @@ from memloss.linalg import (
     chebyshev_coefficients,
     fidelity,
     haar_state,
+    haar_states,
     haar_unitary,
     hermiticity_deviation,
     isometry_deviation,
@@ -308,6 +309,22 @@ class TestRandomStates:
             tot += abs(v[0]) ** 2 / (abs(v[0]) ** 2 + abs(v[1]) ** 2)
         assert abs(tot / n - 0.5) < 0.005
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 1024])
+    def test_haar_states_match_one_vector_formula(self, d):
+        # each row rounds as one vector normalized by np.linalg.norm and
+        # phase-fixed alone, so the samples of earlier versions are kept
+        def one(rng):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            v /= np.linalg.norm(v)
+            v *= np.exp(-1j * np.angle(v[int(np.argmax(np.abs(v)))]))
+            return v
+
+        seeds = [[17, i] for i in range(300)]
+        rows = haar_states(d, [np.random.default_rng(s) for s in seeds])
+        want = np.array([one(np.random.default_rng(s)) for s in seeds])
+        assert rows.tobytes() == want.tobytes()
+        assert haar_states(d, []).shape == (0, d)
+
     def test_haar_state_deterministic(self):
         a = haar_state(5, 42)
         b = haar_state(5, 42)
@@ -413,8 +430,7 @@ class TestInputChecks:
 
 def zherk_deviation(v):
     """``max |v^dag v - I|`` from one ``zherk`` triangle on every input: the
-    reference that :func:`isometry_deviation`'s ``[I; 0]`` shortcut must
-    match bit for bit."""
+    reference that :func:`isometry_deviation` must match bit for bit."""
     g = zherk(1.0, v.T)
     g.flat[:: len(g) + 1] -= 1.0
     return float(np.abs(g).max())
@@ -427,8 +443,9 @@ def with_entry(v, i, j, x):
 
 
 class TestIsometryDeviation:
-    """The exact-identity shortcut returns what ``zherk`` returns: the same
-    float, nan where it gives nan."""
+    """The deviation is ``zherk``'s product read off one triangle: the same
+    float as the reference, nan where it gives nan, on exact identities,
+    near-identities and non-finite entries."""
 
     eye = np.eye(4, dtype=complex)
     cases = {
@@ -450,8 +467,8 @@ class TestIsometryDeviation:
         assert repr(isometry_deviation(v)) == repr(zherk_deviation(v))
 
     def test_nonfinite_is_rejected(self):
-        # a non-finite entry never takes the shortcut: it reaches zherk and
-        # fails every ``deviation <= tol`` check
+        # a non-finite entry reaches the product and fails every
+        # ``deviation <= tol`` check
         for case in ("nan-on-diagonal", "inf-on-diagonal", "nan-off-diagonal"):
             assert not np.isfinite(isometry_deviation(self.cases[case]))
 
