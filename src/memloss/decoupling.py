@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel
-from .entropy import SDP_MAX_DIM, chain_bounds, h_max_smooth, h_min_cond, h_min_smooth
+from .entropy import (check_sdp_envelope, chain_bounds, h_max_smooth, h_min_cond,
+                      h_min_smooth)
 from .linalg import (SECULAR_BLOCK, _trace_distances, as_matrix, haar_states,
                      secular_path, trace_distance)
 
@@ -103,9 +104,7 @@ def decoupling_bound(ch: Channel, eps: float = 0.0) -> DecouplingBound:
     ``H_min(A'B) - log2 d_B`` and is never tighter.
     """
     # checked before the Choi state is built: it is dense in (d_A d_B)^2
-    n = ch.input_dim * ch.output_dim
-    if n > SDP_MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds solver envelope {SDP_MAX_DIM}")
+    check_sdp_envelope(ch.input_dim, ch.output_dim)
     choi = ch.choi().state
     bits = h_min_cond(choi, eps=eps)
     chain_bits = chain_bounds(choi, eps)

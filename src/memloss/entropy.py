@@ -263,6 +263,15 @@ class SdpResult:
     newton_steps: int     # predictor-corrector steps taken
 
 
+def check_sdp_envelope(d_a: int, d_b: int) -> None:
+    """ValueError unless the state ``d_a d_b`` and the Schur complement
+    ``d_b^2`` are both within ``SDP_MAX_DIM``: :func:`min_entropy_sdp`
+    holds dense matrices of both sizes."""
+    for what, n in (("dimension", d_a * d_b), ("Schur complement dimension", d_b * d_b)):
+        if n > SDP_MAX_DIM:
+            raise ValueError(f"{what} {n} exceeds solver envelope {SDP_MAX_DIM}")
+
+
 def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
     """Conditional min-entropy of a bipartite state, with a certified gap.
 
@@ -282,8 +291,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
     n = d_a * d_b
     if rho.shape != (n, n):
         raise ValueError("state dimension does not match d_a * d_b")
-    if n > SDP_MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds solver envelope {SDP_MAX_DIM}")
+    check_sdp_envelope(d_a, d_b)
 
     def tr_a(m):
         """Partial trace over A of an n x n matrix."""

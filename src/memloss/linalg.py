@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg.blas import zherk
+from scipy.linalg.blas import dgemm, zherk
 
 HERMITICITY_TOL = 1e-10
 ISOMETRY_TOL = 1e-9
@@ -35,6 +35,17 @@ NORM_TOL = 1e-12
 # before a sample falls back to the dense eigensolve
 SECULAR_BLOCK = 1 << 15
 SECULAR_MAX_SWEEPS = 30
+# Evolver's sparse path: entries held per window of times by the two
+# accumulators of each time and the block of Chebyshev vectors that one
+# matrix product adds to them, each as large as the evolved columns (4 MiB
+# of real or 8 MiB of complex entries; on one BLAS thread a 61-time N = 14
+# lightcone took 0.96 s with it, 1.31 s with half, and 0.86 s with twice
+# as much, which raised its peak RSS by 13 MB), the longest series
+# chebyshev_coefficients takes (its FFT on twice as many points holds
+# 8 MiB of complex entries), and the log of its term cut-off
+CHEBYSHEV_BLOCK = 1 << 19
+CHEBYSHEV_MAX_TERMS = 1 << 18
+_LOG_CUTOFF = math.log(5e-17)
 _EPS = float(np.finfo(float).eps)
 
 # Pauli matrices, indexed 0..3 as (I, X, Y, Z).
@@ -216,6 +227,14 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
+def _series_too_long(z: float) -> bool:
+    """Whether the series of :func:`chebyshev_coefficients` at ``z`` would
+    pass ``CHEBYSHEV_MAX_TERMS`` terms: its term bound is still at or above
+    the cut-off there, or ``z`` is not finite."""
+    half, cap = abs(z) / 2, CHEBYSHEV_MAX_TERMS
+    return bool(half) and not cap * math.log(half) - math.lgamma(cap + 1) < _LOG_CUTOFF
+
+
 def chebyshev_coefficients(z: float) -> np.ndarray:
     """``c_k = (2 - delta_k0) (-i)^k J_k(z)`` for k < K: ``exp(-i z x) =
     sum_k c_k T_k(x)`` on [-1, 1] (Jacobi-Anger).
@@ -225,11 +244,16 @@ def chebyshev_coefficients(z: float) -> np.ndarray:
     more than half each, so the whole tail ``sum_{k>=K} |c_k|`` is below
     2e-16.  The c_k are the cosine coefficients of ``exp(-i z cos theta)``,
     read off its FFT on 2K points, where the aliased terms lie in that tail.
-    A z below about 1e-16 (0 included) gives the single term ``cos z``.
+    A z below about 1e-16 (0 included) gives the single term ``cos z``.  A z
+    whose K would pass ``CHEBYSHEV_MAX_TERMS`` (``|z|`` above about 1.9e5),
+    or that is not finite, is a ValueError before any term is counted.
     """
+    if _series_too_long(z):
+        raise ValueError(f"time step too long: z = a dt = {z:g} needs more than "
+                         f"{CHEBYSHEV_MAX_TERMS} Chebyshev terms")
     half, k = abs(z) / 2, 1
     if half:
-        while k * math.log(half) - math.lgamma(k + 1) >= math.log(5e-17):
+        while k * math.log(half) - math.lgamma(k + 1) >= _LOG_CUTOFF:
             k += 1
     theta = np.pi / k * np.arange(2 * k)
     c = np.fft.fft(np.exp(-1j * z * np.cos(theta)))[:k] / k
@@ -244,16 +268,23 @@ class Evolver:
     is its single-time case and :meth:`unitary` that case on the identity.
     The type of ``h`` picks the path.  A dense Hamiltonian is diagonalized
     once, and every time is assembled from its eigenpairs.  A sparse one is
-    never diagonalized: ``exp(-iH dt)`` acts on the columns as the Chebyshev
-    series ``sum_{k<K} c_k T_k(H/a)`` (Tal-Ezer and Kosloff, J. Chem. Phys.
-    81, 3967, 1984), run by the three-term recurrence, and :meth:`evolve`
-    steps the columns from each time to the next.  ``a``, the largest
-    absolute row sum of H, bounds its spectrum (Gershgorin), so
-    ``||T_k(H/a)|| <= 1``; the coefficients and their count K come from
-    ``z = a dt`` alone (:func:`chebyshev_coefficients`), before any product
-    is taken.  A step is thus exact up to the coefficient tail
-    ``sum_{k>=K} |c_k| < 2e-16`` times the column norm, plus rounding, and
-    as the steps are unitary these errors add up along a scan.
+    never diagonalized: ``exp(-iH dt)`` acts on columns x as the Chebyshev
+    series ``sum_{k<K} c_k(a dt) T_k(H/a) x`` (Tal-Ezer and Kosloff, J.
+    Chem. Phys. 81, 3967, 1984).  :meth:`evolve` groups consecutive times
+    into windows, and one three-term recurrence for the ``T_k(H/a) x`` of a
+    window's anchor (x0, or the last state of the window before) serves
+    every time in it: each time sums the vectors with its own coefficients,
+    ``dt`` being its offset from the anchor, a block of vectors at a time
+    by real matrix products.  ``a``, the largest absolute row sum of H,
+    bounds its spectrum (Gershgorin), so ``||T_k(H/a)|| <= 1``; the
+    coefficients and their count K come from ``z = a dt`` alone
+    (:func:`chebyshev_coefficients`), before any product is taken.  A time
+    is thus exact up to the coefficient tail ``sum_{k>=K} |c_k| < 2e-16``
+    times the column norm, plus rounding, and as the maps are unitary these
+    errors add up from window to window.  A Hamiltonian without imaginary
+    entries (every spin chain) runs the recurrence in real arithmetic: on
+    the columns' real part where their imaginary part is zero (the t = 0
+    columns of the special states), else on their float view.
     """
 
     def __init__(self, h):
@@ -261,10 +292,14 @@ class Evolver:
             h = sparse.csr_array(h, dtype=complex)
             self.radius = float(abs(h).sum(axis=1).max())
             # the recurrence's matrix 2H/a, built once; where 2/a is not
-            # finite (a zero or subnormal) a step below dt = 1e292 has a
+            # finite (a zero or subnormal) a time below dt = 1e292 has a
             # single Chebyshev term and never multiplies by it
             scale = 2.0 / self.radius if self.radius else math.inf
-            self.h2 = h * scale if math.isfinite(scale) else h
+            h2 = h * scale if math.isfinite(scale) else h
+            if not h2.data.imag.any():
+                h2 = sparse.csr_array((np.ascontiguousarray(h2.data.real), h2.indices,
+                                       h2.indptr), shape=h2.shape)
+            self.h2 = h2
             self.eigenvalues = self.eigenvectors = None
         else:
             self.h2 = None
@@ -287,10 +322,15 @@ class Evolver:
         """Yields ``U(t) @ x0`` for each t of ``times``, in their order.
 
         The dense path projects ``x0`` on the eigenbasis once and applies
-        the phases of each time to that.  The sparse path steps the columns
-        from the previous time by ``t_k - t_{k-1}``, so a scan costs one
-        short step per time, not one evolution from 0; a time equal to the
-        previous one (0 first of all) yields the columns unchanged.
+        the phases of each time to that.  The sparse path evolves windows of
+        consecutive times, each from its anchor: x0 at t = 0 first, then the
+        last state yielded by the window before.  A window holds up to
+        ``CHEBYSHEV_BLOCK / (4 x0.size)`` distinct times (at least one), so
+        that their two accumulators each and the block of as many vectors
+        (:meth:`_window`) stay within that budget, and it ends before a time
+        whose series from the anchor would pass ``CHEBYSHEV_MAX_TERMS``
+        terms.  A time equal to the one before it, or to its anchor's,
+        yields that state itself (x0 itself at t = 0).
         """
         if self.h2 is None:
             v = self.eigenvectors
@@ -298,24 +338,80 @@ class Evolver:
             for t in times:
                 yield v @ (np.exp(-1j * self.eigenvalues * t)[:, None] * coeffs)
             return
-        y, prev = x0, 0.0
-        for t in times:
-            y, prev = self._step(y, t - prev), t
-            yield y
+        times = list(times)
+        size = max(1, CHEBYSHEV_BLOCK // (4 * max(1, np.size(x0))))
+        y, t_y, start = x0, 0.0, 0
+        while start < len(times):
+            anchor, t_anchor = y, t_y
+            rows, coeffs, end = {}, [], start
+            while end < len(times):
+                t = times[end]
+                if t != t_anchor and t not in rows:
+                    z = self.radius * (t - t_anchor)
+                    if rows and (len(rows) == size or _series_too_long(z)):
+                        break
+                    rows[t] = len(coeffs)
+                    coeffs.append(chebyshev_coefficients(z))
+                end += 1
+            sums = self._window(anchor, coeffs) if coeffs else None
+            for t in times[start:end]:
+                if t != t_y:
+                    if t == t_anchor:
+                        y = anchor
+                    else:
+                        y = 1j * sums[rows[t], 1]
+                        y += sums[rows[t], 0]
+                        y = y.reshape(np.shape(anchor))
+                    t_y = t
+                yield y
+            start, sums = end, None   # freed before the next window's
 
-    def _step(self, x: np.ndarray, dt: float) -> np.ndarray:
-        if dt == 0:
-            return x
-        c = chebyshev_coefficients(self.radius * dt)
-        y = c[0] * x
-        if c.size > 1:
-            # T_{k+1} = 2 (H/a) T_k - T_{k-1}, with 2/a folded into the matrix
-            prev, cur = x, 0.5 * (self.h2 @ x)
-            y += c[1] * cur
-            for ck in c[2:]:
-                prev, cur = cur, self.h2 @ cur - prev
-                y += ck * cur
-        return y
+    def _window(self, x: np.ndarray, coeffs) -> np.ndarray:
+        """``sum_k c_k T_k(H/a) x`` for each coefficient array c of
+        ``coeffs``, as an (n, 2, x.size) array that holds the sums with the
+        real parts of c, then with the imaginary ones.  The sums are complex
+        where the recurrence ran on complex columns, or on the float view of
+        complex ones, and real where it ran on real columns.
+
+        The vectors are held in a block of 2n, as many as the accumulators,
+        so that each full block's real matrix product, ``dgemm`` in place on
+        the transposed (Fortran-ordered) views, reads no more of the
+        accumulators than of the vectors.
+        """
+        n, terms = len(coeffs), max(c.size for c in coeffs)
+        x = np.asarray(x).reshape(self.h2.shape[0], -1)
+        pairs = self.h2.dtype == complex or (np.iscomplexobj(x) and x.imag.any())
+        if pairs:
+            x = np.ascontiguousarray(x, dtype=complex)
+            u = x if self.h2.dtype == complex else x.view(float)
+        else:
+            u = x.real
+        c = np.zeros((n, 2, terms))
+        for row, ck in zip(c, coeffs):
+            row[:, :ck.size] = ck.real, ck.imag
+        c = c.reshape(2 * n, terms)
+        block = np.empty((min(terms, 2 * n), *u.shape), u.dtype)
+        acc = np.zeros((2 * n, u.size * u.itemsize // 8))
+
+        def add(lo: int, m: int) -> None:
+            v = block[:m].reshape(m, -1).view(float)
+            if acc.size:   # dgemm refuses an empty block of columns
+                dgemm(1.0, v.T, c[:, lo:lo + m].T, 1.0, acc.T, overwrite_c=True)
+
+        # T_0 = x, T_1 = (H/a) x, T_{k+1} = 2 (H/a) T_k - T_{k-1}, with 2/a
+        # folded into the matrix; block row k % len(block) holds T_k
+        block[0] = u
+        if terms > 1:
+            np.multiply(self.h2 @ block[0], 0.5, out=block[1])
+        for k in range(2, terms):
+            j = k % len(block)
+            if not j:
+                add(k - len(block), len(block))
+            np.subtract(self.h2 @ block[j - 1], block[j - 2], out=block[j])
+        last = (terms - 1) % len(block) + 1
+        add(terms - last, last)
+        acc = acc.reshape(n, 2, -1)
+        return acc.view(complex) if pairs else acc
 
 
 def trace_norm(a) -> float:

@@ -313,6 +313,24 @@ class TestChannelCommands:
         assert "289" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_decoupling_schur_too_large_rejected_before_work(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a 2 -> 128 isometry: the Choi state is 256 x 256, inside the
+        # envelope, but the SDP's Schur complement would be 16384 x 16384
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the dimension check")
+
+        monkeypatch.setattr(decoupling, "avg_output_distance", forbidden)
+        monkeypatch.setattr(Channel, "choi", forbidden)
+        kraus = tmp_path / "k.json"
+        save_kraus_file(str(kraus), [np.eye(128, 2, dtype=complex)])
+        out = tmp_path / "dec.json"
+        cfg = write_cfg(tmp_path / "c.json", channel=str(kraus), samples=5, seed=0,
+                        output=str(out))
+        assert main(["decoupling", cfg]) == 2
+        assert "16384" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["decoupling", "converse"])
     def test_huge_identity_rejected_before_it_is_built(self, tmp_path, capsys,
                                                        monkeypatch, command):
@@ -458,6 +476,18 @@ class TestChainCommands:
     sparse: the values are those of the dense eigendecomposition path."""
 
     chain = {"kind": "spin_chain", "n_sites": 4, "s_sites": 1, "h_field": 0.3}
+
+    @pytest.mark.parametrize("command", ["criteria-scan", "lightcone"])
+    def test_huge_time_exits_2(self, tmp_path, capsys, command):
+        # t = 1e12 would take about 1e13 Chebyshev terms: refused before
+        # they are counted, with nothing written
+        out = tmp_path / "scan.csv"
+        chain = dict(self.chain, psi_e=[[1.0, 0.0]] + [[0.0, 0.0]] * 7)
+        cfg = write_cfg(tmp_path / "c.json", hamiltonian=chain, times=[0.0, 1e12],
+                        output=str(out))
+        assert main([command, cfg]) == 2
+        assert "Chebyshev terms" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_absence(self, tmp_path, capsys):
         out = tmp_path / "abs.json"

@@ -548,6 +548,9 @@ class TestConditionalSdp:
     def test_envelope(self):
         with pytest.raises(ValueError):
             min_entropy_sdp(np.eye(512) / 512, 32, 16)
+        # n = 256 is inside, but the Schur complement would be 16384^2
+        with pytest.raises(ValueError, match="Schur complement dimension 16384"):
+            min_entropy_sdp(np.eye(256) / 256, 2, 128)
 
     def test_conditional_chain(self):
         # -log2 min(dA,dB) <= H_min(A|B) <= H(A|B) <= log2 dA

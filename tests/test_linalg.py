@@ -120,6 +120,7 @@ class TestEvolution:
         # t = 0 yields the columns as they are, not a rounded copy
         assert next(ev.evolve(x0, [0.0])) is x0
         assert ev.apply(x0, 0.0) is x0
+        assert ev.apply(x0[:, :0], 1.0).shape == (16, 0)
         assert np.abs(ev.unitary(0.9) - expm(-0.9j * h.toarray())).max() < 1e-12
 
     def test_subnormal_hamiltonian_takes_one_term(self):
@@ -129,6 +130,43 @@ class TestEvolution:
         x0 = np.eye(2, dtype=complex)[:, :1]
         y = Evolver(h).apply(x0, 1.0)
         assert y is not x0 and np.array_equal(y, x0)
+
+    @pytest.mark.parametrize("z", [2e5, -1e12, 1e300, np.inf, np.nan])
+    def test_chebyshev_coefficients_refuse_long_series(self, z):
+        # refused before the term count is searched, which at z = 1e12
+        # would take about 1e12 loop steps
+        with pytest.raises(ValueError, match="Chebyshev terms"):
+            chebyshev_coefficients(z)
+
+    def test_term_cap_refuses_exactly_the_longer_series(self, monkeypatch):
+        zs = np.linspace(-60.0, 60.0, 601)
+        sizes = [chebyshev_coefficients(z).size for z in zs]
+        monkeypatch.setattr(linalg, "CHEBYSHEV_MAX_TERMS", 50)
+        for z, size in zip(zs, sizes):
+            if size > 50:
+                with pytest.raises(ValueError):
+                    chebyshev_coefficients(z)
+            else:
+                assert chebyshev_coefficients(z).size == size
+
+    def test_window_ends_before_a_series_past_the_cap(self, monkeypatch):
+        # each step of 1 fits under the cap, the offset 2 from t = 0 does
+        # not: the window ends there and the next one starts from t = 1
+        from scipy import sparse
+        from scipy.linalg import expm
+        rng = np.random.default_rng(6)
+        g = sparse.random_array((16, 16), density=0.3, rng=rng)
+        h = (g + g.T) / 2
+        ev = Evolver(h)
+        cap = chebyshev_coefficients(ev.radius).size
+        assert chebyshev_coefficients(2 * ev.radius).size > cap
+        monkeypatch.setattr(linalg, "CHEBYSHEV_MAX_TERMS", cap)
+        x0 = np.linalg.qr(rng.standard_normal((16, 2)))[0].astype(complex)
+        times = [0.0, 1.0, 2.0, 3.0, 2.0]
+        for t, y in zip(times, ev.evolve(x0, times)):
+            assert np.abs(y - expm(-1j * t * h.toarray()) @ x0).max() < 1e-12
+        with pytest.raises(ValueError, match="Chebyshev terms"):
+            ev.apply(x0, 2.0)
 
     @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-8, 0.3, 5.0, 14.5, 120.0, -7.5])
     def test_chebyshev_coefficients_are_bessel(self, z):
