@@ -37,12 +37,13 @@ SECULAR_BLOCK = 1 << 15
 SECULAR_MAX_SWEEPS = 30
 # Evolver's sparse path: entries held per window of times by the two
 # accumulators of each time and the block of Chebyshev vectors that one
-# matrix product adds to them, each as large as the evolved columns (4 MiB
-# of real or 8 MiB of complex entries; on one BLAS thread a 61-time N = 14
-# lightcone took 0.96 s with it, 1.31 s with half, and 0.86 s with twice
-# as much, which raised its peak RSS by 13 MB), the longest series
-# chebyshev_coefficients takes (its FFT on twice as many points holds
-# 8 MiB of complex entries), and the log of its term cut-off
+# matrix product adds to them, each as large as the evolved columns, and
+# also by the window's table of coefficients, two rows of real entries per
+# time (4 MiB of real or 8 MiB of complex entries; on one BLAS thread a
+# 61-time N = 14 lightcone took 0.96 s with it, 1.31 s with half, and 0.86 s
+# with twice as much, which raised its peak RSS by 13 MB), the longest
+# series chebyshev_coefficients takes (its FFT on twice as many points
+# holds 8 MiB of complex entries), and the log of its term cut-off
 CHEBYSHEV_BLOCK = 1 << 19
 CHEBYSHEV_MAX_TERMS = 1 << 18
 _LOG_CUTOFF = math.log(5e-17)
@@ -227,12 +228,17 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
-def _series_too_long(z: float) -> bool:
-    """Whether the series of :func:`chebyshev_coefficients` at ``z`` would
-    pass ``CHEBYSHEV_MAX_TERMS`` terms: its term bound is still at or above
-    the cut-off there, or ``z`` is not finite."""
-    half, cap = abs(z) / 2, CHEBYSHEV_MAX_TERMS
-    return bool(half) and not cap * math.log(half) - math.lgamma(cap + 1) < _LOG_CUTOFF
+def _series_terms(z: float) -> int:
+    """The term count K of :func:`chebyshev_coefficients` at ``z``, or
+    ``CHEBYSHEV_MAX_TERMS + 1`` where K would pass that cap (its term bound
+    is still at or above the cut-off there) or ``z`` is not finite."""
+    half, cap, k = abs(z) / 2, CHEBYSHEV_MAX_TERMS, 1
+    if half:
+        if not cap * math.log(half) - math.lgamma(cap + 1) < _LOG_CUTOFF:
+            return cap + 1
+        while k * math.log(half) - math.lgamma(k + 1) >= _LOG_CUTOFF:
+            k += 1
+    return k
 
 
 def chebyshev_coefficients(z: float) -> np.ndarray:
@@ -248,13 +254,10 @@ def chebyshev_coefficients(z: float) -> np.ndarray:
     whose K would pass ``CHEBYSHEV_MAX_TERMS`` (``|z|`` above about 1.9e5),
     or that is not finite, is a ValueError before any term is counted.
     """
-    if _series_too_long(z):
+    k = _series_terms(z)
+    if k > CHEBYSHEV_MAX_TERMS:
         raise ValueError(f"time step too long: z = a dt = {z:g} needs more than "
                          f"{CHEBYSHEV_MAX_TERMS} Chebyshev terms")
-    half, k = abs(z) / 2, 1
-    if half:
-        while k * math.log(half) - math.lgamma(k + 1) >= _LOG_CUTOFF:
-            k += 1
     theta = np.pi / k * np.arange(2 * k)
     c = np.fft.fft(np.exp(-1j * z * np.cos(theta)))[:k] / k
     c[0] /= 2
@@ -324,13 +327,18 @@ class Evolver:
         The dense path projects ``x0`` on the eigenbasis once and applies
         the phases of each time to that.  The sparse path evolves windows of
         consecutive times, each from its anchor: x0 at t = 0 first, then the
-        last state yielded by the window before.  A window holds up to
-        ``CHEBYSHEV_BLOCK / (4 x0.size)`` distinct times (at least one), so
-        that their two accumulators each and the block of as many vectors
-        (:meth:`_window`) stay within that budget, and it ends before a time
-        whose series from the anchor would pass ``CHEBYSHEV_MAX_TERMS``
-        terms.  A time equal to the one before it, or to its anchor's,
-        yields that state itself (x0 itself at t = 0).
+        last state yielded by the window before.  A window of n distinct
+        times runs one recurrence of K terms, K that of its longest offset
+        from the anchor, and sums 2n vectors per term by matrix products
+        (:meth:`_window`).  It therefore holds at most as many times as
+        keep ``2n`` within the mean count of nonzeros per row of H, so that
+        the sums cost no more arithmetic than the recurrence's sparse
+        products; as many as keep the 4n vectors of the accumulators and the
+        block, and the ``2n x K`` coefficient table, each within
+        ``CHEBYSHEV_BLOCK`` entries; and it ends before a time whose series
+        from the anchor would pass ``CHEBYSHEV_MAX_TERMS`` terms.  A window
+        holds one time at least.  A time equal to the one before it, or to
+        its anchor's, yields that state itself (x0 itself at t = 0).
         """
         if self.h2 is None:
             v = self.eigenvectors
@@ -339,18 +347,21 @@ class Evolver:
                 yield v @ (np.exp(-1j * self.eigenvalues * t)[:, None] * coeffs)
             return
         times = list(times)
-        size = max(1, CHEBYSHEV_BLOCK // (4 * max(1, np.size(x0))))
+        size = max(1, min(CHEBYSHEV_BLOCK // (4 * max(1, np.size(x0))),
+                          self.h2.nnz // (2 * max(1, self.h2.shape[0]))))
         y, t_y, start = x0, 0.0, 0
         while start < len(times):
             anchor, t_anchor = y, t_y
-            rows, coeffs, end = {}, [], start
+            rows, coeffs, terms, end = {}, [], 1, start
             while end < len(times):
                 t = times[end]
                 if t != t_anchor and t not in rows:
                     z = self.radius * (t - t_anchor)
-                    if rows and (len(rows) == size or _series_too_long(z)):
+                    k = _series_terms(z)
+                    if rows and (len(rows) == size or k > CHEBYSHEV_MAX_TERMS
+                                 or 2 * (len(rows) + 1) * max(k, terms) > CHEBYSHEV_BLOCK):
                         break
-                    rows[t] = len(coeffs)
+                    rows[t], terms = len(coeffs), max(k, terms)
                     coeffs.append(chebyshev_coefficients(z))
                 end += 1
             sums = self._window(anchor, coeffs) if coeffs else None
@@ -385,7 +396,7 @@ class Evolver:
             x = np.ascontiguousarray(x, dtype=complex)
             u = x if self.h2.dtype == complex else x.view(float)
         else:
-            u = x.real
+            u = np.asarray(x.real, dtype=float)
         c = np.zeros((n, 2, terms))
         for row, ck in zip(c, coeffs):
             row[:, :ck.size] = ck.real, ck.imag

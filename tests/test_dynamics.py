@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,8 @@ from memloss.dynamics import (
     tilde_tau_SE,
 )
 from memloss.entropy import h_max, h_max_smooth, h_min, h_min_smooth
-from memloss.linalg import PAULI, Evolver, SubsystemLayout, haar_state, kron, trace_distance
+from memloss.linalg import (PAULI, Evolver, SubsystemLayout, chebyshev_coefficients, haar_state,
+                            kron, trace_distance)
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -615,6 +617,44 @@ class TestChainEvolution:
         defect = [abs(np.vdot(y, y).real - 1.0)
                   for y in spec.evolver.evolve(_tau_columns(spec), times)]
         assert max(defect) < 1e-13
+
+    def test_windows_keep_to_the_cost_and_table_budgets(self, monkeypatch):
+        # a window of n times sums 2n vectors per term: 2n stays within the
+        # chain's nonzeros per row (5 here), where a budget of 1000 entries
+        # would let the 32-entry columns take 7 times, and the 2n x K table
+        # stays within that budget, which ends the window at the long step
+        window, windows = Evolver._window, []
+
+        def spy(ev, x, coeffs):
+            windows.append((len(coeffs), max(c.size for c in coeffs)))
+            return window(ev, x, coeffs)
+
+        monkeypatch.setattr(Evolver, "_window", spy)
+        monkeypatch.setattr(linalg, "CHEBYSHEV_BLOCK", 1000)
+        spec = HamiltonianSpec.spin_chain(4, 1, psi_e=np.eye(1, 8)[0])
+        ev, x0 = spec.evolver, _tau_columns(spec)
+        per_row = ev.h2.nnz / ev.h2.shape[0]
+        times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 10.0, 10.5, 11.0, 60.0, 60.2, 0.0]
+        dense = spec.matrix.toarray()
+        for t, y in zip(times, ev.evolve(x0, times)):
+            assert np.abs(y - expm(-1j * t * dense) @ x0).max() < 1e-12
+        assert x0.size == 32 and 2 * 2 <= per_row < 2 * 3
+        assert max(n for n, _ in windows) == 2
+        assert all(n == 1 or 2 * n * k <= 1000 for n, k in windows)
+        assert (1, chebyshev_coefficients(ev.radius * 49.0).size) in windows
+
+    def test_long_recurrence_grid_holds_little_memory(self):
+        # 1024 times on a 4-site chain run in windows of two times; one
+        # window of them all would hold a 2048 x 7400 coefficient table
+        spec = HamiltonianSpec.spin_chain(4, 1, psi_e=np.eye(1, 8)[0])
+        tracemalloc.start()
+        try:
+            scan = recurrence_scan(spec, 1024.0, 1.0, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan.t_rec is None
+        assert peak < 4e6
 
     @settings(max_examples=25, deadline=None)
     @given(chain_cases())

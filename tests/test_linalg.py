@@ -168,6 +168,26 @@ class TestEvolution:
         with pytest.raises(ValueError, match="Chebyshev terms"):
             ev.apply(x0, 2.0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+    def test_sparse_path_takes_any_numeric_columns(self, dtype):
+        from scipy import sparse
+        from scipy.linalg import expm
+        rng = np.random.default_rng(7)
+        g = sparse.random_array((16, 16), density=0.3, rng=rng)
+        x0 = 2 * np.eye(16, 3)
+        if np.issubdtype(dtype, np.complexfloating):
+            x0 = x0 + 1j * np.eye(16, 3, 1)
+        x0 = x0.astype(dtype)
+        times = [0.0, 0.5, 1.5]
+        for h in ((g + g.T) / 2, (g + g.T) / 2 + 0.5j * (g - g.T)):
+            ev = Evolver(h)
+            ys = list(ev.evolve(x0, times))
+            assert ys[0] is x0
+            for t, y in zip(times[1:], ys[1:]):
+                assert y.dtype == complex
+                assert np.abs(y - expm(-1j * t * h.toarray()) @ x0).max() < 1e-12
+            assert np.abs(ev.apply(x0, 0.5) - ys[1]).max() < 1e-12
+
     @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-8, 0.3, 5.0, 14.5, 120.0, -7.5])
     def test_chebyshev_coefficients_are_bessel(self, z):
         from scipy.special import jv
