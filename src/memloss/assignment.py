@@ -18,8 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import HamiltonianSpec
-from .linalg import (ISOMETRY_TOL, fidelity, haar_states, hermitian_eig,
+from .linalg import (ISOMETRY_TOL, fidelity, hermitian_eig, indexed_haar_states,
                      isometry_deviation, kron, trace_distance)
+
+# coupling_for_delta stops this close to its target, or after this many bisections
+COUPLING_TOL, COUPLING_MAX_ITER = 1e-4, 60
 
 
 @dataclass
@@ -207,8 +210,7 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
     mc_bound = float(np.exp(-(d_e ** (1.0 / 3.0)) / 16.0))
     # columns phi (x) the flat environment's basis / sqrt(d_E), then one
     # column phi (x) psi_i per Haar-random environment state
-    psis = haar_states(d_e, [np.random.default_rng([seed, i])
-                             for i in range(n_env_samples)])
+    psis = indexed_haar_states(d_e, seed, range(n_env_samples))
     x0 = kron(phi[:, None], np.column_stack([np.eye(d_e) / np.sqrt(d_e), psis.T]))
     phi_dm = np.outer(phi, phi.conj())
     fid_floor = 2.0 * result.delta_phi ** 2 - 1.0
@@ -235,9 +237,9 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
 
 
 def coupling_for_delta(make_spec, phi, target: float, g_lo: float,
-                       g_hi: float, tol: float = 1e-4,
-                       max_iter: int = 60) -> float:
-    """Bisect the coupling strength g until delta(phi) hits ``target``.
+                       g_hi: float) -> float:
+    """Bisect the coupling strength g until delta(phi) is within
+    ``COUPLING_TOL`` of ``target``.
 
     ``make_spec(g)`` builds the Hamiltonian; delta is assumed to cross the
     target monotonically between the brackets (checked).
@@ -250,10 +252,10 @@ def coupling_for_delta(make_spec, phi, target: float, g_lo: float,
     if not (min(d_lo, d_hi) <= target <= max(d_lo, d_hi)):
         raise ValueError("target delta not bracketed by the couplings")
     sign = 1.0 if d_lo >= d_hi else -1.0
-    for _ in range(max_iter):
+    for _ in range(COUPLING_MAX_ITER):
         mid = 0.5 * (g_lo + g_hi)
         d_mid = delta_at(mid)
-        if abs(d_mid - target) <= tol:
+        if abs(d_mid - target) <= COUPLING_TOL:
             return mid
         if sign * (d_mid - target) > 0:
             g_lo = mid

@@ -17,7 +17,7 @@ from .channels import Channel, depolarizing, iid_threshold
 from .entropy import von_neumann
 from .linalg import maximally_mixed
 from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
-                        require_float, require_int)
+                        reject_unknown_keys, require_float, require_int)
 
 SCHEMA_VERSION = 1
 
@@ -64,13 +64,14 @@ class ConfigError(Exception):
 
 
 # The top-level config fields each subcommand reads; any other is an error,
-# so a misspelt field cannot silently fall back to its default.
-_SCAN_FIELDS = {"hamiltonian", "times", "epsilon", "slack", "format", "output"}
+# so a misspelt field cannot silently fall back to its default; the parsers
+# of a Hamiltonian, a channel and a time grid check their keys the same way.
+_SCAN_FIELDS = {"hamiltonian", "times", "epsilon", "format", "output"}
 _FIELDS = {
     "criteria-scan": _SCAN_FIELDS,
     "depol-threshold": {"p_lo", "p_hi", "tol", "p_min", "p_max", "num", "format",
                         "output"},
-    "decoupling": {"channel", "deltas", "samples", "seed", "epsilon", "output"},
+    "decoupling": {"channel", "deltas", "samples", "seed", "output"},
     "converse": {"channel", "epsilon", "delta", "samples", "seed", "output"},
     "lightcone": _SCAN_FIELDS,
     "recurrence": {"hamiltonian", "t_max", "step", "tol", "epsilon", "output"},
@@ -143,6 +144,7 @@ def _times_of(cfg: dict) -> list[float]:
     times = _require(cfg, "times")
     try:
         if isinstance(times, dict):
+            reject_unknown_keys(times, ("start", "stop", "num"))
             start, stop = require_float(times["start"]), require_float(times["stop"])
             return list(np.linspace(start, stop, require_int(times["num"])))
         return [require_float(t) for t in times]
@@ -169,10 +171,13 @@ def _channel_of(cfg: dict) -> Channel:
             return Channel.from_kraus(load_kraus_file(spec))
         name = spec.get("builtin")
         if name == "depolarizing":
+            reject_unknown_keys(spec, ("builtin", "p"))
             return depolarizing(require_float(spec["p"]))
         if name == "identity":
+            reject_unknown_keys(spec, ("builtin", "d"))
             return Channel.identity(require_int(spec["d"]))
         if "kraus_file" in spec:
+            reject_unknown_keys(spec, ("kraus_file",))
             path = spec["kraus_file"]
             # open() reads an int, true among them, as a file descriptor
             if not isinstance(path, str):
@@ -192,27 +197,16 @@ def run_criteria_scan(cfg: dict) -> int:
     spec = _spec_of(cfg)
     times = _times_of(cfg)
     eps = _number(cfg, "epsilon", default=0.05)
-    slack = _number(cfg, "slack", default=0.0)
-    rows = []
-    counts = {dynamics.MEMORY_LOST: 0, dynamics.MEMORY_RETAINED: 0,
-              dynamics.INCONCLUSIVE: 0}
-    for t, (lost, retained) in zip(times, dynamics.system_criteria_scan(
-            spec, times, eps, slack)):
-        if retained.verdict == dynamics.MEMORY_RETAINED:
-            verdict = dynamics.MEMORY_RETAINED
-        elif lost.verdict == dynamics.MEMORY_LOST:
-            verdict = dynamics.MEMORY_LOST
-        else:
-            verdict = dynamics.INCONCLUSIVE
-        counts[verdict] += 1
-        rows.append([t, retained.lhs, retained.rhs, retained.lhs - retained.rhs,
-                     verdict])
+    rows = [[t, retained.lhs, retained.rhs, retained.margin,
+             lost.verdict if retained.verdict == dynamics.INCONCLUSIVE else retained.verdict]
+            for t, (lost, retained) in zip(times, dynamics.system_criteria_scan(spec, times, eps))]
+    verdicts = [row[-1] for row in rows]
     emit((["t", "lhs_bits", "rhs_bits", "margin_bits", "verdict"], rows),
          cfg.get("format", "csv"), _require(cfg, "output"))
     print(f"criteria-scan: {len(times)} times, "
-          f"retained={counts[dynamics.MEMORY_RETAINED]} "
-          f"lost={counts[dynamics.MEMORY_LOST]} "
-          f"inconclusive={counts[dynamics.INCONCLUSIVE]}")
+          f"retained={verdicts.count(dynamics.MEMORY_RETAINED)} "
+          f"lost={verdicts.count(dynamics.MEMORY_LOST)} "
+          f"inconclusive={verdicts.count(dynamics.INCONCLUSIVE)}")
     return 0
 
 
@@ -242,8 +236,7 @@ def run_decoupling(cfg: dict) -> int:
         raise ConfigError(f"bad deltas: {exc}") from exc
     report = decoupling.decoupling_report(
         ch, n_samples=_number(cfg, "samples", int, default=200),
-        seed=_seed(cfg), deltas=deltas,
-        eps=_number(cfg, "epsilon", default=0.0))
+        seed=_seed(cfg), deltas=deltas)
     if "output" in cfg:
         atomic_write_text(cfg["output"], report.to_json() + "\n")
     print(f"decoupling: mean={report.empirical_mean:.6f} "
@@ -272,8 +265,7 @@ def run_converse(cfg: dict) -> int:
 def run_lightcone(cfg: dict) -> int:
     spec = _spec_of(cfg)
     scan = dynamics.lightcone_scan(spec, _times_of(cfg),
-                                   eps=_number(cfg, "epsilon", default=0.05),
-                                   slack=_number(cfg, "slack", default=0.0))
+                                   eps=_number(cfg, "epsilon", default=0.05))
     rows = [[float(t), float(he), float(ds)]
             for t, he, ds in zip(scan.times, scan.h_max_env, scan.deficit_sys)]
     emit((["t", "h_max_env_bits", "deficit_sys_bits"], rows),

@@ -20,20 +20,8 @@ import numpy as np
 from .channels import Channel
 from .entropy import (check_sdp_envelope, chain_bounds, h_max_smooth, h_min_cond,
                       h_min_smooth)
-from .linalg import (SECULAR_BLOCK, _trace_distances, as_matrix, haar_states,
+from .linalg import (SECULAR_BLOCK, _trace_distances, as_matrix, indexed_haar_states,
                      secular_path, trace_distance)
-
-
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # one independent stream per sample index, so a sample does not depend
-    # on which other samples are drawn
-    return np.random.default_rng([seed, index])
-
-
-def _haar_inputs(d: int, seed: int, indices) -> np.ndarray:
-    """Amplitudes of the Haar-random pure input drawn for each index, one row
-    per index."""
-    return haar_states(d, [_sample_rng(seed, i) for i in indices])
 
 
 def _factors(kraus: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -83,7 +71,7 @@ def avg_output_distance(ch: Channel, n_samples: int, seed: int):
         raise ValueError("need at least one sample")
     d = ch.input_dim
     ref = ch.apply(np.eye(d, dtype=complex) / d)
-    samples = _distances(ch, _haar_inputs(d, seed, range(n_samples)), ref)
+    samples = _distances(ch, indexed_haar_states(d, seed, range(n_samples)), ref)
     return float(samples.mean()), float(samples.std(ddof=1) if n_samples > 1 else 0.0), samples
 
 
@@ -95,19 +83,19 @@ class DecouplingBound:
     chain_bound: float   # 2^{-chain_bits/2} (weaker, for comparison)
 
 
-def decoupling_bound(ch: Channel, eps: float = 0.0) -> DecouplingBound:
+def decoupling_bound(ch: Channel) -> DecouplingBound:
     """Average-distance bound ``2^{-H_min(A'|B)/2}`` from the Choi state.
 
-    At ``eps = 0`` the bound is sound as stated (the smoothed entropy is at
-    least the unsmoothed one, and the additive error term vanishes).  The
-    chain-rule variant replaces the conditional entropy with the lower bound
-    ``H_min(A'B) - log2 d_B`` and is never tighter.
+    The unsmoothed decoupling theorem (Dupuis, Berta, Wullschleger and
+    Renner, arXiv:1012.6044): its smoothed form adds a term in eps that a
+    smoothed entropy alone would leave out.  The chain-rule variant uses the
+    lower bound ``H_min(A'B) - log2 d_B`` and is never tighter.
     """
     # checked before the Choi state is built: it is dense in (d_A d_B)^2
     check_sdp_envelope(ch.input_dim, ch.output_dim)
     choi = ch.choi().state
-    bits = h_min_cond(choi, eps=eps)
-    chain_bits = chain_bounds(choi, eps)
+    bits = h_min_cond(choi)
+    chain_bits = chain_bounds(choi)
     return DecouplingBound(
         sdp_bits=bits, sdp_bound=float(2.0 ** (-0.5 * bits)),
         chain_bits=chain_bits, chain_bound=float(2.0 ** (-0.5 * chain_bits)))
@@ -197,8 +185,8 @@ def _trial_min_average(ch: Channel, n_samples: int, seed: int,
     states: ``T(pi)``, the flat state and the outputs of random inputs, each
     compared with the sampled outputs' factors by :func:`trace_distances`."""
     d_in, d_out = ch.input_dim, ch.output_dim
-    trial_vecs = _haar_inputs(d_in, seed, range(10_000, 10_000 + trial_random_inputs))
-    vecs = _haar_inputs(d_in, seed, range(n_samples))
+    trial_vecs = indexed_haar_states(d_in, seed, range(10_000, 10_000 + trial_random_inputs))
+    vecs = indexed_haar_states(d_in, seed, range(n_samples))
     if len(ch.kraus) == 1:
         # K is an isometry: outputs of pure inputs are pure, at distance
         # 2 sqrt(1 - |<w, v>|^2), and at 2(1 - 1/n) from a flat state of rank
@@ -222,7 +210,7 @@ def convexity_gap(ch: Channel, omega, n_samples: int, seed: int):
     """
     d = ch.input_dim
     lhs = trace_distance(ch.apply(np.eye(d, dtype=complex) / d), omega)
-    dists = _distances(ch, _haar_inputs(d, seed, range(n_samples)), omega)
+    dists = _distances(ch, indexed_haar_states(d, seed, range(n_samples)), omega)
     return lhs, float(dists.mean())
 
 
@@ -256,9 +244,9 @@ class DecouplingReport:
 
 
 def decoupling_report(ch: Channel, n_samples: int = 200, seed: int = 0,
-                      deltas=(0.5,), eps: float = 0.0) -> DecouplingReport:
+                      deltas=(0.5,)) -> DecouplingReport:
     """End-to-end report: empirical average, entropic bound, tail checks."""
-    bounds = decoupling_bound(ch, eps=eps)
+    bounds = decoupling_bound(ch)
     mean, std, samples = avg_output_distance(ch, n_samples, seed)
     tail = {float(d): concentration_check(samples, bounds.sdp_bound, float(d),
                                           ch.input_dim)

@@ -22,6 +22,9 @@ from .linalg import (
     trace_distance,
 )
 
+# the most sites of a spin chain: its arrays take about 24 (n + 1) 2^n bytes
+MAX_CHAIN_SITES = 18
+
 MEMORY_LOST = "memory_lost"
 MEMORY_RETAINED = "memory_retained"
 INCONCLUSIVE = "inconclusive"
@@ -33,9 +36,10 @@ class CriterionVerdict:
 
     ``margin`` is how far the comparison holds in the direction that fires
     the verdict: ``rhs - lhs`` for memory lost, ``lhs - rhs`` for memory
-    retained.  The verdict fires exactly when ``margin > slack``, and only
+    retained.  The verdict fires exactly when ``margin > 0``, and only
     where the conservative soundness direction of the smoothed entropies
-    supports it.
+    supports it; the criteria-scan output reports the margin, so a
+    stricter threshold can be applied there.
     """
 
     time: float
@@ -44,7 +48,6 @@ class CriterionVerdict:
     margin: float
     epsilon: float
     verdict: str
-    criterion: str = ""
 
 
 @dataclass(eq=False)
@@ -141,14 +144,15 @@ class HamiltonianSpec:
         (``j sum (sx sx + sy sy + sz sz) - h sum sz``); ``bond_couplings``
         optionally scales each of the n-1 bonds (setting the S-E bond to 0
         decouples system and environment).  The matrix is sparse (CSR), with
-        2^n (n + 1) nonzeros at most.
+        2^n (n + 1) nonzeros at most, and ``n_sites <= MAX_CHAIN_SITES``.
         """
-        sites = sorted(s_sites) if not isinstance(s_sites, int) else list(range(s_sites))
-        if sites != list(range(len(sites))) or not sites:
-            raise ValueError("S must be a contiguous prefix of chain sites")
-        ell = len(sites)
+        if n_sites > MAX_CHAIN_SITES:
+            raise ValueError(f"chain of {n_sites} sites: at most {MAX_CHAIN_SITES} are supported")
+        ell = s_sites if isinstance(s_sites, int) else len(s_sites)
         if not 0 < ell < n_sites:
             raise ValueError("S must be a proper nonempty prefix")
+        if not isinstance(s_sites, int) and sorted(s_sites) != list(range(ell)):
+            raise ValueError("S must be a contiguous prefix of chain sites")
         bonds = np.ones(n_sites - 1) if bond_couplings is None else np.asarray(
             bond_couplings, dtype=float)
         if bonds.shape != (n_sites - 1,):
@@ -184,7 +188,7 @@ class HamiltonianSpec:
         layout = SubsystemLayout.of(("S", 2 ** ell), ("E", 2 ** (n_sites - ell)))
         meta = {"n_sites": n_sites, "s_sites": ell, "model": model,
                 "j": float(j), "h_field": float(h_field),
-                "bond_couplings": bonds.tolist(), "boundary_size": 1}
+                "bond_couplings": bonds.tolist()}
         return cls(matrix=h, layout=layout, kind="spin_chain", meta=meta, **kw)
 
     @classmethod
@@ -258,33 +262,30 @@ def _marginal_spectra(y: np.ndarray, d_s: int, d_e: int) -> tuple[np.ndarray, np
 # ---------------------------------------------------------------------------
 
 
-def _criteria(spec: HamiltonianSpec, y: np.ndarray, t: float, eps: float,
-              slack: float) -> tuple[CriterionVerdict, CriterionVerdict]:
+def _criteria(spec: HamiltonianSpec, y: np.ndarray, t: float,
+              eps: float) -> tuple[CriterionVerdict, CriterionVerdict]:
     s, e = _marginal_spectra(y, spec.d_s, spec.d_e)
     hmin_s, hmax_s = h_min_smooth(s, eps), h_max_smooth(s, eps)
     hmin_e, hmax_e = h_min_smooth(e, eps), h_max_smooth(e, eps)
 
-    def verdict(lhs, rhs, margin, fired, criterion):
-        return CriterionVerdict(time=t, lhs=lhs, rhs=rhs, margin=margin,
-                                epsilon=eps,
-                                verdict=fired if margin > slack else INCONCLUSIVE,
-                                criterion=criterion)
+    def verdict(lhs, rhs, margin, fired):
+        return CriterionVerdict(time=t, lhs=lhs, rhs=rhs, margin=margin, epsilon=eps,
+                                verdict=fired if margin > 0.0 else INCONCLUSIVE)
 
-    return (verdict(hmax_s, hmin_e, hmin_e - hmax_s, MEMORY_LOST,
-                    "hmax(S) <~ hmin(E)"),
-            verdict(hmin_s, hmax_e, hmin_s - hmax_e, MEMORY_RETAINED,
-                    "hmin(S) >~ hmax(E)"))
+    # hmax(S) <~ hmin(E) fires memory lost, hmin(S) >~ hmax(E) memory retained
+    return (verdict(hmax_s, hmin_e, hmin_e - hmax_s, MEMORY_LOST),
+            verdict(hmin_s, hmax_e, hmin_s - hmax_e, MEMORY_RETAINED))
 
 
-def _criteria_scan(spec: HamiltonianSpec, x0: np.ndarray, times, eps: float,
-                   slack: float) -> list[tuple[CriterionVerdict, CriterionVerdict]]:
+def _criteria_scan(spec: HamiltonianSpec, x0: np.ndarray, times,
+                   eps: float) -> list[tuple[CriterionVerdict, CriterionVerdict]]:
     times = list(times)
-    return [_criteria(spec, y, t, eps, slack)
+    return [_criteria(spec, y, t, eps)
             for t, y in zip(times, spec.evolver.evolve(x0, times))]
 
 
-def system_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
-                    slack: float = 0.0) -> tuple[CriterionVerdict, CriterionVerdict]:
+def system_criteria(spec: HamiltonianSpec, t: float,
+                    eps: float = 0.05) -> tuple[CriterionVerdict, CriterionVerdict]:
     """Memory-of-system-state criteria on ``tau_SE(t)``.
 
     The first verdict compares ``H_max^eps(S) <~ H_min^eps(E)`` (fires:
@@ -292,26 +293,25 @@ def system_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
     memory retained).  Both use the conservative bound directions, so a
     fired verdict is sound.
     """
-    return system_criteria_scan(spec, (t,), eps, slack)[0]
+    return system_criteria_scan(spec, (t,), eps)[0]
 
 
-def system_criteria_scan(spec: HamiltonianSpec, times, eps: float = 0.05,
-                         slack: float = 0.0) -> list[tuple[CriterionVerdict,
-                                                           CriterionVerdict]]:
+def system_criteria_scan(spec: HamiltonianSpec, times, eps: float = 0.05
+                         ) -> list[tuple[CriterionVerdict, CriterionVerdict]]:
     """:func:`system_criteria` at each of ``times``, evolving the columns
     along the time grid (:meth:`Evolver.evolve`)."""
-    return _criteria_scan(spec, _tau_columns(spec), times, eps, slack)
+    return _criteria_scan(spec, _tau_columns(spec), times, eps)
 
 
-def env_criteria(spec: HamiltonianSpec, t: float, eps: float = 0.05,
-                 slack: float = 0.0) -> tuple[CriterionVerdict, CriterionVerdict]:
+def env_criteria(spec: HamiltonianSpec, t: float,
+                 eps: float = 0.05) -> tuple[CriterionVerdict, CriterionVerdict]:
     """Memory-of-environment-microstate criteria on ``tilde_tau_SE(t)``.
 
     The same two comparisons as :func:`system_criteria`: the first fires
     when the output is independent of the environment microstate (that
     memory is lost), the second when it depends on it (memory retained).
     """
-    return _criteria_scan(spec, _tilde_columns(spec), (t,), eps, slack)[0]
+    return _criteria_scan(spec, _tilde_columns(spec), (t,), eps)[0]
 
 
 def dimension_certificates(spec: HamiltonianSpec) -> tuple[bool, bool]:
@@ -342,8 +342,7 @@ class LightconeScan:
     epsilon: float
 
 
-def lightcone_scan(spec: HamiltonianSpec, times, eps: float = 0.05,
-                   slack: float = 0.0) -> LightconeScan:
+def lightcone_scan(spec: HamiltonianSpec, times, eps: float = 0.05) -> LightconeScan:
     """Entropy-deficit scan for a nearest-neighbor chain with contiguous S.
 
     The fitted initial slopes are empirical proxies for the boundary-times-
@@ -356,7 +355,7 @@ def lightcone_scan(spec: HamiltonianSpec, times, eps: float = 0.05,
     h_max_env = np.empty_like(times)
     deficit = np.empty_like(times)
     t_star = None
-    scan = system_criteria_scan(spec, times.tolist(), eps, slack)
+    scan = system_criteria_scan(spec, times.tolist(), eps)
     for i, (t, (lost, retained)) in enumerate(zip(times, scan)):
         h_max_env[i] = retained.rhs
         deficit[i] = log_ds - retained.lhs
@@ -408,18 +407,24 @@ def spec_to_dict(spec: HamiltonianSpec) -> dict:
     return out
 
 
-def spec_from_dict(d: dict) -> HamiltonianSpec:
-    from .serialize import (decode_complex_matrix, decode_complex_vector, require_float,
-                            require_int)
+# the keys of each kind of spec object, besides the ones every kind takes
+_SPEC_KEYS = {"spin_chain": {"n_sites", "s_sites", "model", "j", "h_field", "bond_couplings"},
+              "coupled_product": {"h_s", "h_e", "h_int", "g"},
+              "explicit": {"matrix", "d_s", "d_e"}}
 
-    extras = {}
-    for attr in ("omega_s", "omega_e"):
-        if d.get(attr) is not None:
-            extras[attr] = decode_complex_matrix(d[attr])
-    for attr in ("psi_e", "phi_s"):
-        if d.get(attr) is not None:
-            extras[attr] = decode_complex_vector(d[attr])
+
+def spec_from_dict(d: dict) -> HamiltonianSpec:
+    from .serialize import (decode_complex_matrix, decode_complex_vector, reject_unknown_keys,
+                            require_float, require_int)
+
     kind = d.get("kind", "explicit")
+    if kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    decoders = {"omega_s": decode_complex_matrix, "omega_e": decode_complex_matrix,
+                "psi_e": decode_complex_vector, "phi_s": decode_complex_vector}
+    reject_unknown_keys(d, _SPEC_KEYS[kind] | decoders.keys() | {"kind"})
+    extras = {attr: decode(d[attr]) for attr, decode in decoders.items()
+              if d.get(attr) is not None}
     if kind == "spin_chain":
         return HamiltonianSpec.spin_chain(
             n_sites=require_int(d["n_sites"]), s_sites=require_int(d["s_sites"]),
@@ -432,11 +437,9 @@ def spec_from_dict(d: dict) -> HamiltonianSpec:
             decode_complex_matrix(d["h_s"]), decode_complex_matrix(d["h_e"]),
             decode_complex_matrix(d["h_int"]), g=require_float(d["g"]),
             **extras)
-    if kind == "explicit":
-        return HamiltonianSpec.explicit(
-            decode_complex_matrix(d["matrix"]), require_int(d["d_s"]), require_int(d["d_e"]),
-            **extras)
-    raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    return HamiltonianSpec.explicit(
+        decode_complex_matrix(d["matrix"]), require_int(d["d_s"]), require_int(d["d_e"]),
+        **extras)
 
 
 @dataclass
@@ -473,7 +476,7 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
         if dist < best:
             best, best_t = dist, t
         if dist < tol:
-            _, retained = _criteria(spec, y, t, eps, 0.0)
+            _, retained = _criteria(spec, y, t, eps)
             return RecurrenceScan(t_rec=float(t), distance_at_rec=float(dist),
                                   min_distance=float(best), argmin_time=float(best_t),
                                   verdict_at_rec=retained)

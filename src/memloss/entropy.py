@@ -29,6 +29,10 @@ _STEP_FRACTION = 0.98  # share of the way to the cone's boundary that a step goe
 # step lengths tried first, largest first, then halved; late steps stop
 # just short of a full step, so the grid is finest near 1
 _STEP_GRID = (1.0, 0.98, 0.93, 0.8, 0.6)
+# the smoothing oracles' grids: points per axis, refinement stages and ceiling
+# bisections (h_min), partial removals of an eigenvalue (h_max)
+_ORACLE_POINTS, _ORACLE_STAGES, _ORACLE_BISECTIONS = 33, 5, 50
+_ORACLE_REMOVALS = 20_001
 
 
 def spectrum_of(x) -> np.ndarray:
@@ -152,8 +156,7 @@ def h_max_smooth(rho, eps: float) -> float:
     return float(2.0 * np.log2(sqrt_sum))
 
 
-def _grid_max_fidelity(lam: np.ndarray, m: float, points: int,
-                       stages: int) -> float:
+def _grid_max_fidelity(lam: np.ndarray, m: float) -> float:
     """Best generalized fidelity to ``lam`` over a refining grid of candidate
     spectra confined to [0, m]^d; candidates over the unit trace budget are
     scaled back onto it."""
@@ -162,8 +165,8 @@ def _grid_max_fidelity(lam: np.ndarray, m: float, points: int,
     lo = np.zeros(d)
     hi = np.full(d, m)
     best = -1.0
-    for _ in range(stages):
-        axes = [np.linspace(lo[i], hi[i], points) for i in range(d)]
+    for _ in range(_ORACLE_STAGES):
+        axes = [np.linspace(lo[i], hi[i], _ORACLE_POINTS) for i in range(d)]
         grids = np.meshgrid(*axes, indexing="ij")
         sigma = np.stack([g.reshape(-1) for g in grids], axis=1)
         trace = sigma.sum(axis=1)
@@ -174,14 +177,13 @@ def _grid_max_fidelity(lam: np.ndarray, m: float, points: int,
         idx = int(np.argmax(fid))
         best = max(best, float(fid[idx]))
         center = np.stack([g.reshape(-1) for g in grids], axis=1)[idx]
-        cell = (hi - lo) / (points - 1)
+        cell = (hi - lo) / (_ORACLE_POINTS - 1)
         lo = np.clip(center - 2.0 * cell, 0.0, m)
         hi = np.clip(center + 2.0 * cell, 0.0, m)
     return best
 
 
-def h_min_smooth_oracle(rho, eps: float, points: int = 33, stages: int = 5,
-                        m_iters: int = 50) -> float:
+def h_min_smooth_oracle(rho, eps: float) -> float:
     """Brute-force certification of :func:`h_min_smooth` for d <= 3.
 
     Bisects the spectral ceiling m; each feasibility test maximizes the
@@ -196,16 +198,16 @@ def h_min_smooth_oracle(rho, eps: float, points: int = 33, stages: int = 5,
         return float(-np.log2(lam[0]))
     target = _smooth_target(eps)
     lo, hi = 0.0, float(lam[0])
-    for _ in range(m_iters):
+    for _ in range(_ORACLE_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        if _grid_max_fidelity(lam, mid, points, stages) >= target:
+        if _grid_max_fidelity(lam, mid) >= target:
             hi = mid
         else:
             lo = mid
     return float(-np.log2(hi))
 
 
-def h_max_smooth_oracle(rho, eps: float, grid: int = 20_001) -> float:
+def h_max_smooth_oracle(rho, eps: float) -> float:
     """Brute-force scan over tail-removal candidates; certifies
     :func:`h_max_smooth`.
 
@@ -229,7 +231,7 @@ def h_max_smooth_oracle(rho, eps: float, grid: int = 20_001) -> float:
                 val = 2.0 * np.log2(np.sqrt(lam[: d - 1 - k]).sum())
                 best = min(best, val)
             continue
-        s_grid = np.linspace(0.0, next_val, grid)
+        s_grid = np.linspace(0.0, next_val, _ORACLE_REMOVALS)
         fid = 1.0 - removed - next_val + np.sqrt(next_val * s_grid)
         ok = fid >= target
         if not ok.any():
@@ -508,13 +510,13 @@ def cq_ansatz_optimum(n: int, eps: float) -> float:
     return float(-np.log2(res.fun))
 
 
-def chain_bounds(rho: DensityMatrix, eps: float) -> float:
-    """Chain-rule lower bound ``H_min^eps(AB) - log2 d_B`` on ``H_min^eps(A|B)``.
+def chain_bounds(rho: DensityMatrix) -> float:
+    """Chain-rule lower bound ``H_min(AB) - log2 d_B`` on ``H_min(A|B)``.
 
-    A state ``rho'_AB <= m I_AB`` in the smoothing ball has
-    ``rho'_AB <= I_A (x) m I_B``, a feasible point of the conditional SDP of
-    trace ``m d_B``, so the bound needs only the joint spectrum.
+    ``rho_AB <= m I_AB`` gives ``rho_AB <= I_A (x) m I_B``, a feasible point
+    of the conditional SDP of trace ``m d_B``, so the bound needs only the
+    joint spectrum.
     """
     if len(rho.layout.factors) != 2:
         raise ValueError("chain_bounds expects a two-factor layout [A, B]")
-    return h_min_smooth(rho, eps) - float(np.log2(rho.layout.dims[1]))
+    return h_min(rho) - float(np.log2(rho.layout.dims[1]))

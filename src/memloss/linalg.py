@@ -634,6 +634,12 @@ def haar_states(d: int, seeds) -> np.ndarray:
     return v
 
 
+def indexed_haar_states(d: int, seed: int, indices) -> np.ndarray:
+    """Haar-random unit vectors, row i drawn from ``default_rng([seed, i])``
+    alone, so that it does not depend on which other indices are drawn."""
+    return haar_states(d, [np.random.default_rng([seed, i]) for i in indices])
+
+
 def haar_state(d: int, seed=None) -> np.ndarray:
     """Haar-random unit vector: the one row of :func:`haar_states`."""
     return haar_states(d, [seed])[0]

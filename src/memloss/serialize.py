@@ -41,6 +41,14 @@ def require_float(value) -> float:
     return require_finite(float(value))
 
 
+def reject_unknown_keys(obj: dict, known) -> None:
+    """A ValueError naming each key of ``obj`` outside ``known``, so that a
+    misspelt key cannot leave its value at the default in silence."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def decode_complex_matrix(rows) -> np.ndarray:
     return require_finite(np.array([[complex(re, im) for re, im in row] for row in rows],
                                    dtype=complex))
@@ -66,7 +74,8 @@ def load_kraus_file(path) -> list[np.ndarray]:
 
 
 def save_kraus_file(path, kraus) -> None:
-    atomic_write_json(path, [encode_complex_matrix(k) for k in kraus])
+    text = json.dumps([encode_complex_matrix(k) for k in kraus], indent=2)
+    atomic_write_text(path, text + "\n")
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -81,7 +90,3 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")

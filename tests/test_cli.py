@@ -24,11 +24,11 @@ def write_cfg(path, **fields):
 
 # top-level config fields each subcommand reads, besides "schema"
 READS = {
-    "criteria-scan": {"hamiltonian", "times", "epsilon", "slack", "format", "output"},
-    "lightcone": {"hamiltonian", "times", "epsilon", "slack", "format", "output"},
+    "criteria-scan": {"hamiltonian", "times", "epsilon", "format", "output"},
+    "lightcone": {"hamiltonian", "times", "epsilon", "format", "output"},
     "depol-threshold": {"p_lo", "p_hi", "tol", "p_min", "p_max", "num", "format",
                         "output"},
-    "decoupling": {"channel", "deltas", "samples", "seed", "epsilon", "output"},
+    "decoupling": {"channel", "deltas", "samples", "seed", "output"},
     "converse": {"channel", "epsilon", "delta", "samples", "seed", "output"},
     "recurrence": {"hamiltonian", "t_max", "step", "tol", "epsilon", "output"},
     "absence": {"hamiltonian", "phi", "times", "samples", "seed", "output"},
@@ -108,12 +108,12 @@ class TestConfigHandling:
         ("decoupling", {"channel": "kraus.json"}),
         # scalar fields read by the runners
         ("criteria-scan", {"epsilon": None}),
-        ("criteria-scan", {"slack": [0.0]}),
+        ("criteria-scan", {"format": [0.0]}),
         ("lightcone", {"epsilon": {}}),
-        ("lightcone", {"slack": None}),
+        ("lightcone", {"times": None}),
         ("decoupling", {"seed": [1]}),
         ("decoupling", {"samples": None}),
-        ("decoupling", {"epsilon": [0.1]}),
+        ("decoupling", {"samples": 2.5}),
         ("decoupling", {"output": 5}),
         ("decoupling", {"deltas": 0.5}),
         ("converse", {"epsilon": None}),
@@ -156,9 +156,12 @@ class TestConfigHandling:
         assert "error:" in err and next(iter(fields)) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", sorted(READS))
-    @pytest.mark.parametrize("field", ["sampels", "threads"])
-    def test_unknown_field_exits_2(self, tmp_path, capsys, command, field):
+    @pytest.mark.parametrize("field, command", [
+        *((field, command) for field in ("sampels", "threads") for command in sorted(READS)),
+        # retired: a verdict fires at margin > 0, and the decoupling bound
+        # is the unsmoothed theorem
+        ("slack", "criteria-scan"), ("slack", "lightcone"), ("epsilon", "decoupling")])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, field, command):
         # a misspelt or retired field is an error, not a silent default
         out = tmp_path / "out"
         path = write_cfg(tmp_path / "c.json", output=str(out), **{field: 5})
@@ -477,6 +480,27 @@ class TestChainCommands:
 
     chain = {"kind": "spin_chain", "n_sites": 4, "s_sites": 1, "h_field": 0.3}
 
+    @pytest.mark.parametrize("command", ["criteria-scan", "lightcone", "recurrence",
+                                         "absence"])
+    @pytest.mark.parametrize("n_sites", [19, 25, 48, 64, 10 ** 30])
+    def test_oversized_chain_exits_2(self, tmp_path, capsys, monkeypatch, command, n_sites):
+        # n_sites = 48 used to exit 1 with a 2 PiB allocation error: a chain
+        # past MAX_CHAIN_SITES is refused before its arrays are made
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated the chain")
+
+        monkeypatch.setattr(np, "arange", forbidden)
+        monkeypatch.setattr(np, "ones", forbidden)
+        out = tmp_path / "out"
+        fields = {"hamiltonian": dict(self.chain, n_sites=n_sites), "times": [0.0, 1.0],
+                  "t_max": 1.0, "step": 0.5, "phi": [[1.0, 0.0], [0.0, 0.0]], "seed": 0}
+        cfg = write_cfg(tmp_path / "c.json", output=str(out),
+                        **{k: v for k, v in fields.items() if k in READS[command]})
+        assert main([command, cfg]) == 2
+        assert (f"error: bad hamiltonian: chain of {n_sites} sites: at most 18"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["criteria-scan", "lightcone"])
     def test_huge_time_exits_2(self, tmp_path, capsys, command):
         # t = 1e12 would take about 1e13 Chebyshev terms: refused before
@@ -633,7 +657,6 @@ class TestFloatFields:
     @pytest.mark.parametrize("bad", [True, "0.3"])
     @pytest.mark.parametrize("command, fields", [
         ("criteria-scan", {"epsilon": "BAD"}),
-        ("criteria-scan", {"slack": "BAD"}),
         ("criteria-scan", {"times": ["BAD", 1.0]}),
         ("lightcone", {"times": {"start": "BAD", "stop": 1.0, "num": 3}}),
         ("lightcone", {"times": {"start": 0.0, "stop": "BAD", "num": 3}}),
@@ -643,7 +666,6 @@ class TestFloatFields:
         ("criteria-scan", {"hamiltonian": dict(product_spec_dict(), g="BAD")}),
         ("decoupling", {"channel": {"builtin": "depolarizing", "p": "BAD"}}),
         ("decoupling", {"deltas": ["BAD"]}),
-        ("decoupling", {"epsilon": "BAD"}),
         ("converse", {"delta": "BAD"}),
         ("depol-threshold", {"p_lo": "BAD"}),
         ("depol-threshold", {"p_hi": "BAD"}),
@@ -653,10 +675,9 @@ class TestFloatFields:
         ("recurrence", {"t_max": "BAD"}),
         ("recurrence", {"step": "BAD"}),
         ("recurrence", {"tol": "BAD"}),
-    ], ids=["epsilon", "slack", "times", "times-start", "times-stop", "j", "h_field",
-            "bond_couplings", "g", "depolarizing-p", "deltas", "decoupling-epsilon",
-            "delta", "p_lo", "p_hi", "depol-tol", "p_min", "p_max", "t_max", "step",
-            "recurrence-tol"])
+    ], ids=["epsilon", "times", "times-start", "times-stop", "j", "h_field",
+            "bond_couplings", "g", "depolarizing-p", "deltas", "delta", "p_lo", "p_hi",
+            "depol-tol", "p_min", "p_max", "t_max", "step", "recurrence-tol"])
     def test_non_number_exits_2(self, tmp_path, capsys, command, fields, bad):
         base = {"channel": {"builtin": "identity", "d": 2}, "epsilon": 0.05,
                 "delta": 0.01, "seed": 0, "samples": 2, "hamiltonian": self.chain,
@@ -672,6 +693,46 @@ class TestFloatFields:
         assert not out.exists()
 
 
+class TestNestedKeys:
+    """A Hamiltonian, a channel object and a time grid take only their own
+    keys: a misspelt ``"h_feild": 3.0`` used to run the chain at h = 1 and
+    exit 0."""
+
+    chain = TestIntegerFields.chain
+
+    @pytest.mark.parametrize("command, field, value, key", [
+        ("criteria-scan", "hamiltonian", dict(chain, h_feild=3.0), "h_feild"),
+        ("criteria-scan", "hamiltonian", dict(chain, bond_coupling=[0, 0, 0]),
+         "bond_coupling"),
+        ("criteria-scan", "hamiltonian", dict(chain, omega_S=[[[1.0, 0.0]], [[0.0, 0.0]]]),
+         "omega_S"),
+        ("criteria-scan", "hamiltonian", dict(chain, matrix=[[[0.0, 0.0]]]), "matrix"),
+        ("criteria-scan", "hamiltonian", dict(product_spec_dict(), n_sites=4), "n_sites"),
+        ("criteria-scan", "hamiltonian", dict(TestIntegerFields.explicit, G=0.1), "G"),
+        ("lightcone", "times", {"start": 0.0, "stop": 1.0, "num": 3, "endpoint": False},
+         "endpoint"),
+        ("decoupling", "channel", {"builtin": "depolarizing", "p": 0.3, "d": 2}, "d"),
+        ("decoupling", "channel", {"builtin": "identity", "d": 2, "p": 0.3}, "p"),
+        ("converse", "channel", {"kraus_file": "kraus.json", "builtin": None}, "builtin"),
+    ], ids=["spin_chain-h_field", "spin_chain-bonds", "spin_chain-omega_s",
+            "spin_chain-matrix", "coupled_product", "explicit", "times",
+            "depolarizing", "identity", "kraus_file"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, monkeypatch, command, field,
+                                 value, key):
+        monkeypatch.chdir(tmp_path)
+        save_kraus_file(str(tmp_path / "kraus.json"), [np.eye(2)])
+        base = {"channel": {"builtin": "identity", "d": 2}, "epsilon": 0.05,
+                "delta": 0.01, "seed": 0, "samples": 2, "hamiltonian": self.chain,
+                "times": [0.0, 1.0]}
+        out = tmp_path / "out"
+        cfg = {k: v for k, v in base.items() if k in READS[command]}
+        cfg.update({field: value}, output=str(out))
+        path = write_cfg(tmp_path / "c.json", **cfg)
+        assert main([command, path]) == 2
+        assert f"error: bad {field}: unknown key(s) {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 # JSON values of the wrong kind for any scalar field
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                   st.lists(st.integers(0, 3), max_size=2),
@@ -683,9 +744,6 @@ _BAD_FIELDS = st.one_of(
         _JUNK, st.integers(max_value=0), st.floats(allow_nan=True, allow_infinity=True))),
     st.tuples(st.just("seed"), st.one_of(
         _JUNK, st.integers(max_value=-1), st.floats(allow_nan=True, allow_infinity=True))),
-    st.tuples(st.just("epsilon"), st.one_of(
-        _JUNK, st.floats(min_value=1.0), st.floats(max_value=-1e-300),
-        st.integers(min_value=1), st.integers(max_value=-1), st.just(float("nan")))),
     st.tuples(st.just("channel"), st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(),
         st.lists(_JUNK, max_size=2),
@@ -715,7 +773,7 @@ def _assert_exits_2_unwritten(command, cfg, fields):
     a channel given as a tuple is a Kraus file holding its second entry."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = dict(cfg, schema=1, output=os.path.join(tmp, "out.json"), **fields)
-        if isinstance(cfg["channel"], tuple):
+        if isinstance(cfg.get("channel"), tuple):
             kraus = os.path.join(tmp, "kraus.json")
             with open(kraus, "w", encoding="utf-8") as fh:
                 json.dump(cfg["channel"][1], fh)
@@ -728,23 +786,94 @@ def _assert_exits_2_unwritten(command, cfg, fields):
         assert set(os.listdir(tmp)) <= {"c.json", "kraus.json"}
 
 
+# criteria-scan and lightcone: a 4-site chain, and draws that each break it
+_SCAN_CHAIN = TestIntegerFields.chain
+_CHAIN_KEYS = {"kind", "n_sites", "s_sites", "model", "j", "h_field", "bond_couplings",
+               "omega_s", "omega_e", "psi_e", "phi_s"}
+_NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                          st.lists(st.floats(), max_size=2), _NONFINITE)
+_BAD_CHAIN_FIELDS = st.one_of(
+    st.tuples(st.text(min_size=1, max_size=8).filter(lambda k: k not in _CHAIN_KEYS),
+              _JUNK),
+    st.tuples(st.just("kind"), st.one_of(
+        _NOT_A_NUMBER, st.text(max_size=12).filter(
+            lambda k: k not in ("spin_chain", "coupled_product", "explicit")))),
+    # only sizes that are refused before anything is allocated
+    st.tuples(st.just("n_sites"), st.one_of(
+        _NOT_A_NUMBER, st.floats(), st.integers(max_value=1), st.integers(min_value=19))),
+    st.tuples(st.just("s_sites"), st.one_of(
+        _NOT_A_NUMBER, st.floats(), st.integers(max_value=0), st.integers(min_value=4))),
+    st.tuples(st.just("model"), st.one_of(
+        _NOT_A_NUMBER, st.text(max_size=12).filter(lambda m: m not in ("tfi", "heisenberg")))),
+    st.tuples(st.sampled_from(["j", "h_field"]), _NOT_A_NUMBER),
+    st.tuples(st.just("bond_couplings"), st.one_of(
+        st.booleans(), st.floats(), st.text(max_size=4),
+        st.lists(st.floats(-2.0, 2.0), max_size=6).filter(lambda b: len(b) != 3),
+        st.lists(_NOT_A_NUMBER, min_size=3, max_size=3))),
+    st.tuples(st.just("psi_e"), st.one_of(
+        _NOT_A_NUMBER, st.integers(0, 16).filter(lambda n: n != 8).map(
+            lambda n: [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1) if n else []),
+        st.just([[1.0, 0.0]] * 8))),
+)
+_BAD_GRIDS = st.one_of(
+    st.fixed_dictionaries({"start": _NOT_A_NUMBER, "stop": st.just(1.0), "num": st.just(3)}),
+    st.fixed_dictionaries({"start": st.just(0.0), "stop": _NOT_A_NUMBER, "num": st.just(3)}),
+    st.fixed_dictionaries({"start": st.just(0.0), "stop": st.just(1.0),
+                           "num": st.one_of(_NOT_A_NUMBER, st.floats(),
+                                            st.integers(max_value=0))}),
+    st.fixed_dictionaries({"start": st.just(0.0), "stop": st.just(1.0), "num": st.just(3),
+                           "endpoint": st.booleans()}),
+)
+_BAD_SCAN_FIELDS = st.one_of(
+    st.tuples(st.just("hamiltonian"), st.one_of(
+        _NOT_A_NUMBER, st.integers(), st.lists(_JUNK, max_size=2),
+        _BAD_CHAIN_FIELDS.map(lambda bad: dict(_SCAN_CHAIN, **{bad[0]: bad[1]})))),
+    st.tuples(st.just("times"), st.one_of(
+        st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=4),
+        st.lists(st.one_of(st.none(), st.text(max_size=2), _NONFINITE), min_size=1,
+                 max_size=3).map(lambda bad: [0.0, *bad]),
+        _BAD_GRIDS)),
+    st.tuples(st.just("epsilon"), st.one_of(
+        _NOT_A_NUMBER, st.floats(min_value=1.0), st.floats(max_value=-1e-300),
+        st.integers(min_value=1), st.integers(max_value=-1))),
+    st.tuples(st.just("format"), st.one_of(
+        _JUNK.filter(lambda f: f not in ("csv", "json")), st.integers(), st.floats())),
+    # retired: a verdict fires at margin > 0
+    st.tuples(st.just("slack"), st.one_of(_JUNK, st.floats(), st.integers())),
+    st.tuples(st.text(min_size=1, max_size=8).filter(
+        lambda k: k not in READS["criteria-scan"] | {"schema"}), _JUNK),
+)
+
+
+class TestScanConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(["criteria-scan", "lightcone"]), bad=_BAD_SCAN_FIELDS)
+    def test_malformed_field_exits_2(self, command, bad):
+        # a malformed or misspelt field, Hamiltonian key or time grid, an
+        # oversized chain or the retired slack stops the run before any
+        # output is written
+        key, value = bad
+        _assert_exits_2_unwritten(command, {"hamiltonian": _SCAN_CHAIN, "times": [0.0, 1.0],
+                                            "epsilon": 0.05}, {key: value})
+
+
 class TestDecouplingConfigFuzz:
     @settings(max_examples=200, deadline=None)
     @given(bad=_BAD_FIELDS)
     def test_malformed_field_exits_2(self, bad):
-        # a malformed channel, samples, seed or epsilon stops the run before
-        # any output is written
+        # a malformed channel, samples or seed stops the run before any
+        # output is written
         key, value = bad
         _assert_exits_2_unwritten("decoupling", {"channel": {"builtin": "identity", "d": 2},
-                                                 "samples": 3, "seed": 0, "epsilon": 0.0},
-                                  {key: value})
+                                                 "samples": 3, "seed": 0}, {key: value})
 
 
 # the positive subnormal floats, 5e-324 up to the least normal float
 _SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2250738585072009e-308)
 
 _BAD_CONVERSE_FIELDS = st.one_of(
-    _BAD_FIELDS.filter(lambda bad: bad[0] != "epsilon"),
+    _BAD_FIELDS,
     # eps and delta must be positive: zero and negative values, negative
     # subnormals among them, are malformed (a positive subnormal is valid)
     st.tuples(st.sampled_from(["epsilon", "delta"]), st.one_of(

@@ -80,8 +80,8 @@ class TestAverageDistance:
     def test_haar_inputs_match_haar_state(self, d):
         # the batched normalization and phase fix round as haar_state does
         indices = list(range(300)) + list(range(10_000, 10_010))
-        rows = decoupling._haar_inputs(d, 17, indices)
-        want = [haar_state(d, decoupling._sample_rng(17, i)) for i in indices]
+        rows = linalg.indexed_haar_states(d, 17, indices)
+        want = [haar_state(d, np.random.default_rng([17, i])) for i in indices]
         assert rows.tobytes() == np.array(want).tobytes()
 
     def test_factors_take_a_dense_kraus_array(self, monkeypatch):
@@ -138,7 +138,7 @@ class TestAverageDistance:
             omega = random_density(d, 4).data
 
             def outputs(indices):
-                vecs = [haar_state(d, decoupling._sample_rng(seed, i)) for i in indices]
+                vecs = [haar_state(d, np.random.default_rng([seed, i])) for i in indices]
                 return [ch.apply(DensityMatrix.single(np.outer(v, v.conj()))) for v in vecs]
 
             outs = outputs(range(n))
@@ -251,7 +251,7 @@ class TestConverse:
         d, n, trials, seed = 1024, 20, 4, 2
 
         def vec(i):
-            return haar_state(d, decoupling._sample_rng(seed, i))
+            return haar_state(d, np.random.default_rng([seed, i]))
 
         averages = [2.0 * (1.0 - 1.0 / d)]
         for j in range(trials):
@@ -268,9 +268,9 @@ class TestConverse:
         # the overlap product against the vdot loop over (trial, sample)
         # pairs, in cases that a trial output wins
         seed = 6
-        vecs = decoupling._haar_inputs(d, seed, range(n))
+        vecs = linalg.indexed_haar_states(d, seed, range(n))
         averages = [2.0 * (1.0 - 1.0 / d)]
-        for w in decoupling._haar_inputs(d, seed, range(10_000, 10_000 + trials)):
+        for w in linalg.indexed_haar_states(d, seed, range(10_000, 10_000 + trials)):
             averages.append(float(np.mean(
                 [2.0 * np.sqrt(max(0.0, 1.0 - abs(np.vdot(w, v)) ** 2)) for v in vecs])))
         ch = Channel.from_kraus([haar_unitary(d, 13)])

@@ -612,18 +612,18 @@ class TestChainBounds:
         a = random_density(2, 9, name="A")
         dm = DensityMatrix(np.kron(a.data, np.eye(3) / 3),
                            SubsystemLayout.of(("A", 2), ("B", 3)))
-        assert abs(chain_bounds(dm, 0.0) - h_min(a)) < 1e-10
+        assert abs(chain_bounds(dm) - h_min(a)) < 1e-10
 
     def test_max_entangled_tight(self):
         psi = max_entangled(2)
-        assert abs(chain_bounds(psi, 0.0) + 1.0) < 1e-10
+        assert abs(chain_bounds(psi) + 1.0) < 1e-10
         assert abs(h_min_cond(psi) + 1.0) < 1e-6
 
     def test_lower_bounds_sdp(self):
         for seed in range(100):
             rho = random_density(4, 2000 + seed)
             dm = DensityMatrix(rho.data, SubsystemLayout.of(("A", 2), ("B", 2)))
-            assert chain_bounds(dm, 0.0) <= h_min_cond(dm) + 1e-6
+            assert chain_bounds(dm) <= h_min_cond(dm) + 1e-6
 
 
 class TestReport:
