@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dynamics import HamiltonianSpec
-from .linalg import (ISOMETRY_TOL, fidelity, hermitian_eig, indexed_haar_states,
-                     isometry_deviation, kron, trace_distance)
+from .linalg import (ISOMETRY_TOL, check_draws, fidelity, hermitian_eig,
+                     indexed_haar_states, isometry_deviation, kron, trace_distance)
 
 # coupling_for_delta stops this close to its target, or after this many bisections
 COUPLING_TOL, COUPLING_MAX_ITER = 1e-4, 60
@@ -169,20 +169,7 @@ class AbsenceReport:
     seed: int
 
     def to_json(self) -> str:
-        obj = {
-            "delta_phi": self.delta_phi,
-            "bound": self.bound,
-            "bound_valid": self.bound_valid,
-            "deterministic_max_distance": self.deterministic_max_distance,
-            "min_fidelity_margin": self.min_fidelity_margin,
-            "radius": self.radius,
-            "mc_exceed_fraction": self.mc_exceed_fraction,
-            "mc_bound": self.mc_bound,
-            "mc_asserted": self.mc_asserted,
-            "times": self.times,
-            "seed": self.seed,
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
@@ -200,10 +187,15 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
     """
     if spec.omega_e is not None:
         raise ValueError("analysis assumes the full environment space")
+    times = [float(t) for t in times]
+    if not times:
+        raise ValueError("need at least one time")
+    if n_env_samples < 0:
+        raise ValueError(f"need a number of samples >= 0, got {n_env_samples}")
+    check_draws(n_env_samples, spec.d_e)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     result = spec_delta_phi(spec, phi)
     bound, valid = memory_bound(result.delta_phi)
-    times = [float(t) for t in times]
 
     d_s, d_e = spec.d_s, spec.d_e
     radius = bound + d_s / np.sqrt(d_e) + d_e ** (-1.0 / 3.0)

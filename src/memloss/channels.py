@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import as_strided
 from .entropy import von_neumann
 from .linalg import (
     ISOMETRY_TOL,
+    MAX_ENTRIES,
     NORM_TOL,
     PAULI,
     DensityMatrix,
@@ -17,12 +18,6 @@ from .linalg import (
     as_matrix,
     isometry_deviation,
 )
-
-# The largest Kraus array, in complex entries (256 MiB), that a constructor
-# allocates itself, and the largest identity channel: its Kraus array is an
-# O(d) view, but apply, choi, dilation_state and the Haar-sampling distances
-# of decoupling make it dense.
-MAX_KRAUS_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -86,14 +81,14 @@ class Channel:
         Row i of ``I_d`` is ``b[d-1-i : 2d-1-i]``, so the view starts at
         ``b[d-1]`` and steps one entry back per row.  It is exact by
         construction, so it skips the completeness check.  A d below 1, or
-        with ``d^2 > MAX_KRAUS_ENTRIES``, is refused before anything is
-        allocated.
+        with ``d^2 > MAX_ENTRIES`` (apply, choi and dilation_state make the
+        view dense), is refused before anything is allocated.
         """
         if d < 1:
             raise ValueError(f"identity of dimension {d}: need d >= 1")
-        if d * d > MAX_KRAUS_ENTRIES:
+        if d * d > MAX_ENTRIES:
             raise ValueError(f"identity of dimension {d} has more than "
-                             f"{MAX_KRAUS_ENTRIES} Kraus entries")
+                             f"{MAX_ENTRIES} Kraus entries")
         b = np.zeros(2 * d - 1, dtype=complex)
         b[d - 1] = 1.0
         step = b.itemsize

@@ -15,7 +15,7 @@ import numpy as np
 from . import assignment, decoupling, dynamics
 from .channels import Channel, depolarizing, iid_threshold
 from .entropy import von_neumann
-from .linalg import maximally_mixed
+from .linalg import MAX_ENTRIES, maximally_mixed
 from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
                         reject_unknown_keys, require_float, require_int)
 
@@ -63,19 +63,108 @@ class ConfigError(Exception):
     pass
 
 
-# The top-level config fields each subcommand reads; any other is an error,
-# so a misspelt field cannot silently fall back to its default; the parsers
-# of a Hamiltonian, a channel and a time grid check their keys the same way.
-_SCAN_FIELDS = {"hamiltonian", "times", "epsilon", "format", "output"}
-_FIELDS = {
+# Parsers of one JSON field value.  A value of the wrong JSON type (null, a
+# number for a list) raises TypeError inside them, and float() of an integer
+# past 1e308 OverflowError; every parse error is a config error, exit code 2.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _count(value) -> int:
+    """An integer from 0 to ``MAX_ENTRIES``: the length of an array."""
+    n = require_int(value)
+    if not 0 <= n <= MAX_ENTRIES:
+        raise ValueError(f"expected a count from 0 to {MAX_ENTRIES}, got {n}")
+    return n
+
+
+def _seed(value) -> int:
+    """An integer >= 0: numpy's generators refuse a negative seed, and so
+    does a run that draws nothing (a converse that does not fire)."""
+    seed = require_int(value)
+    if seed < 0:
+        raise ValueError(f"expected an integer >= 0, got {seed}")
+    return seed
+
+
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(f"expected 'csv' or 'json', got {value!r}")
+    return value
+
+
+def _path(value) -> str:
+    # open() reads an int, true among them, as a file descriptor
+    if not isinstance(value, str):
+        raise ValueError(f"expected a file path, got {value!r}")
+    return value
+
+
+def _times(value) -> list[float]:
+    """A non-empty list of times, or a grid ``{"start", "stop", "num"}``."""
+    if isinstance(value, dict):
+        reject_unknown_keys(value, ("start", "stop", "num"))
+        start, stop = require_float(value["start"]), require_float(value["stop"])
+        times = list(np.linspace(start, stop, _count(value["num"])))
+    else:
+        times = [require_float(t) for t in value]
+    if not times:
+        raise ValueError("expected at least one time")
+    return times
+
+
+def _spec(value) -> dynamics.HamiltonianSpec:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    return dynamics.spec_from_dict(value)
+
+
+def _channel(value) -> Channel:
+    """A Kraus file path, a builtin channel or ``{"kraus_file": path}``."""
+    if isinstance(value, str):
+        return Channel.from_kraus(load_kraus_file(value))
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a Kraus file path or an object, got {value!r}")
+    name = value.get("builtin")
+    if name == "depolarizing":
+        reject_unknown_keys(value, ("builtin", "p"))
+        return depolarizing(require_float(value["p"]))
+    if name == "identity":
+        reject_unknown_keys(value, ("builtin", "d"))
+        return Channel.identity(require_int(value["d"]))
+    if "kraus_file" in value:
+        reject_unknown_keys(value, ("kraus_file",))
+        return Channel.from_kraus(load_kraus_file(_path(value["kraus_file"])))
+    raise ValueError(f"unrecognized channel description {value!r}")
+
+
+REQUIRED = object()  # the default of a field that has none
+
+# Each subcommand's config fields, {field: (parser, default)} in the order
+# they are parsed.  Any other field is an error, so a misspelt one cannot fall
+# back to its default; Hamiltonians, channels and time grids check keys too.
+_SCAN_FIELDS = {"hamiltonian": (_spec, REQUIRED), "times": (_times, REQUIRED),
+                "epsilon": (require_float, 0.05), "format": (_format, "csv"),
+                "output": (_path, REQUIRED)}
+FIELDS = {
     "criteria-scan": _SCAN_FIELDS,
-    "depol-threshold": {"p_lo", "p_hi", "tol", "p_min", "p_max", "num", "format",
-                        "output"},
-    "decoupling": {"channel", "deltas", "samples", "seed", "output"},
-    "converse": {"channel", "epsilon", "delta", "samples", "seed", "output"},
+    "depol-threshold": {"p_lo": (require_float, 0.01), "p_hi": (require_float, 0.5),
+                        "tol": (require_float, 1e-8), "p_min": (require_float, 0.0),
+                        "p_max": (require_float, 0.75), "num": (_count, 76),
+                        "format": (_format, "csv"), "output": (_path, None)},
+    "decoupling": {"channel": (_channel, REQUIRED),
+                   "deltas": (lambda v: [require_float(d) for d in v], (0.5,)),
+                   "samples": (require_int, 200), "seed": (_seed, REQUIRED),
+                   "output": (_path, None)},
+    "converse": {"channel": (_channel, REQUIRED), "epsilon": (require_float, REQUIRED),
+                 "delta": (require_float, REQUIRED), "samples": (require_int, 50),
+                 "seed": (_seed, REQUIRED), "output": (_path, None)},
     "lightcone": _SCAN_FIELDS,
-    "recurrence": {"hamiltonian", "t_max", "step", "tol", "epsilon", "output"},
-    "absence": {"hamiltonian", "phi", "times", "samples", "seed", "output"},
+    "recurrence": {"hamiltonian": (_spec, REQUIRED), "t_max": (require_float, REQUIRED),
+                   "step": (require_float, REQUIRED), "tol": (require_float, 1e-6),
+                   "epsilon": (require_float, 0.05), "output": (_path, None)},
+    "absence": {"hamiltonian": (_spec, REQUIRED), "phi": (decode_complex_vector, REQUIRED),
+                "times": (_times, REQUIRED), "samples": (require_int, 20),
+                "seed": (_seed, REQUIRED), "output": (_path, None)},
 }
 # Flags that override the config field of the same name, where it is read.
 _OVERRIDES = {"seed": {"type": int}, "output": {}, "epsilon": {"type": float},
@@ -83,6 +172,7 @@ _OVERRIDES = {"seed": {"type": int}, "output": {}, "epsilon": {"type": float},
 
 
 def load_config(path: str | None, args) -> dict:
+    """The config's fields, unparsed, with the flags' overrides."""
     if path is None:
         cfg: dict = {"schema": SCHEMA_VERSION}
     else:
@@ -95,7 +185,7 @@ def load_config(path: str | None, args) -> dict:
             raise ConfigError("config must be a JSON object")
         if cfg.get("schema") != SCHEMA_VERSION:
             raise ConfigError(f"config schema must be {SCHEMA_VERSION}")
-        unknown = sorted(set(cfg) - _FIELDS[args.command] - {"schema"})
+        unknown = sorted(set(cfg) - FIELDS[args.command].keys() - {"schema"})
         if unknown:
             raise ConfigError(f"{args.command} does not read config "
                               f"field(s) {', '.join(map(repr, unknown))}")
@@ -103,106 +193,41 @@ def load_config(path: str | None, args) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    # checked before any work: a runner writes its output only at the end
-    if not isinstance(cfg.get("output", ""), str):
-        raise ConfigError(f"bad output: expected a file path, got {cfg['output']!r}")
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return cfg[key]
+def parse_config(command: str, cfg: dict) -> dict:
+    """Every field of ``command``, parsed or defaulted, before any work: the
+    first missing or malformed one is a ConfigError that names it."""
+    values = {}
+    for key, (parse, default) in FIELDS[command].items():
+        if key not in cfg and default is REQUIRED:
+            raise ConfigError(f"config is missing required field {key!r}")
+        try:
+            values[key] = parse(cfg[key]) if key in cfg else default
+        except _PARSE_ERRORS as exc:
+            raise ConfigError(f"bad {key}: {exc}") from exc
+    return values
 
 
-# A field of the wrong JSON type (null, a number for a list) raises TypeError
-# inside the parsers, and float() of an integer past 1e308 OverflowError; every
-# parse error is a config error, exit code 2.
-_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-
-
-def _number(cfg: dict, key: str, kind=float, default=None):
-    """Scalar field ``key`` as ``kind``; required when there is no default."""
-    val = _require(cfg, key) if default is None else cfg.get(key, default)
-    try:
-        return require_int(val) if kind is int else require_float(val)
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
-
-
-def _seed(cfg: dict) -> int:
-    """The required ``seed`` field, an integer >= 0: numpy's generators
-    refuse a negative seed, and so does a run that draws nothing (a converse
-    that does not fire)."""
-    seed = _number(cfg, "seed", int)
-    if seed < 0:
-        raise ConfigError(f"bad seed: expected an integer >= 0, got {seed}")
-    return seed
-
-
-def _times_of(cfg: dict) -> list[float]:
-    times = _require(cfg, "times")
-    try:
-        if isinstance(times, dict):
-            reject_unknown_keys(times, ("start", "stop", "num"))
-            start, stop = require_float(times["start"]), require_float(times["stop"])
-            return list(np.linspace(start, stop, require_int(times["num"])))
-        return [require_float(t) for t in times]
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad times: {exc}") from exc
-
-
-def _spec_of(cfg: dict) -> dynamics.HamiltonianSpec:
-    spec = _require(cfg, "hamiltonian")
-    if not isinstance(spec, dict):
-        raise ConfigError("hamiltonian must be an object")
-    try:
-        return dynamics.spec_from_dict(spec)
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad hamiltonian: {exc}") from exc
-
-
-def _channel_of(cfg: dict) -> Channel:
-    spec = _require(cfg, "channel")
-    if not isinstance(spec, (str, dict)):
-        raise ConfigError("channel must be a Kraus file path or an object")
-    try:
-        if isinstance(spec, str):
-            return Channel.from_kraus(load_kraus_file(spec))
-        name = spec.get("builtin")
-        if name == "depolarizing":
-            reject_unknown_keys(spec, ("builtin", "p"))
-            return depolarizing(require_float(spec["p"]))
-        if name == "identity":
-            reject_unknown_keys(spec, ("builtin", "d"))
-            return Channel.identity(require_int(spec["d"]))
-        if "kraus_file" in spec:
-            reject_unknown_keys(spec, ("kraus_file",))
-            path = spec["kraus_file"]
-            # open() reads an int, true among them, as a file descriptor
-            if not isinstance(path, str):
-                raise ValueError(f"kraus_file must be a path, got {path!r}")
-            return Channel.from_kraus(load_kraus_file(path))
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad channel: {exc}") from exc
-    raise ConfigError(f"unrecognized channel description {spec!r}")
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` and a newline to ``path``, if the config names one."""
+    if path is not None:
+        atomic_write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners.  Each prints a one-line summary and returns 0.
+# Subcommand runners, on parsed fields.  Each prints a summary and returns 0.
 # ---------------------------------------------------------------------------
 
 
-def run_criteria_scan(cfg: dict) -> int:
-    spec = _spec_of(cfg)
-    times = _times_of(cfg)
-    eps = _number(cfg, "epsilon", default=0.05)
+def run_criteria_scan(hamiltonian, times, epsilon, format, output) -> int:
     rows = [[t, retained.lhs, retained.rhs, retained.margin,
              lost.verdict if retained.verdict == dynamics.INCONCLUSIVE else retained.verdict]
-            for t, (lost, retained) in zip(times, dynamics.system_criteria_scan(spec, times, eps))]
+            for t, (lost, retained) in zip(times, dynamics.system_criteria_scan(
+                hamiltonian, times, epsilon))]
     verdicts = [row[-1] for row in rows]
-    emit((["t", "lhs_bits", "rhs_bits", "margin_bits", "verdict"], rows),
-         cfg.get("format", "csv"), _require(cfg, "output"))
+    emit((["t", "lhs_bits", "rhs_bits", "margin_bits", "verdict"], rows), format, output)
     print(f"criteria-scan: {len(times)} times, "
           f"retained={verdicts.count(dynamics.MEMORY_RETAINED)} "
           f"lost={verdicts.count(dynamics.MEMORY_LOST)} "
@@ -210,100 +235,66 @@ def run_criteria_scan(cfg: dict) -> int:
     return 0
 
 
-def run_depol_threshold(cfg: dict) -> int:
-    lo, hi = _number(cfg, "p_lo", default=0.01), _number(cfg, "p_hi", default=0.5)
-    tol = _number(cfg, "tol", default=1e-8)
-    ps = np.linspace(_number(cfg, "p_min", default=0.0),
-                     _number(cfg, "p_max", default=0.75),
-                     _number(cfg, "num", int, default=76))
-    p_c = iid_threshold(depolarizing, lo=lo, hi=hi, tol=tol)
+def run_depol_threshold(p_lo, p_hi, tol, p_min, p_max, num, format, output) -> int:
+    p_c = iid_threshold(depolarizing, lo=p_lo, hi=p_hi, tol=tol)
     rows = []
-    for p in ps:
+    for p in np.linspace(p_min, p_max, num):
         tau = depolarizing(float(p)).dilation_state(maximally_mixed(2))
         rows.append([float(p), von_neumann(tau.marginal("S")),
                      von_neumann(tau.marginal("E"))])
-    if "output" in cfg:
-        emit((["p", "H_S", "H_E"], rows), cfg.get("format", "csv"), cfg["output"])
+    if output is not None:
+        emit((["p", "H_S", "H_E"], rows), format, output)
     print(f"p_c = {p_c:.6f}")
     return 0
 
 
-def run_decoupling(cfg: dict) -> int:
-    ch = _channel_of(cfg)
-    try:
-        deltas = [require_float(d) for d in cfg.get("deltas", (0.5,))]
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad deltas: {exc}") from exc
-    report = decoupling.decoupling_report(
-        ch, n_samples=_number(cfg, "samples", int, default=200),
-        seed=_seed(cfg), deltas=deltas)
-    if "output" in cfg:
-        atomic_write_text(cfg["output"], report.to_json() + "\n")
+def run_decoupling(channel, deltas, samples, seed, output) -> int:
+    report = decoupling.decoupling_report(channel, n_samples=samples, seed=seed,
+                                          deltas=deltas)
+    _write(output, report.to_json())
     print(f"decoupling: mean={report.empirical_mean:.6f} "
           f"bound={report.bound:.6f} samples={report.n_samples}")
     return 0
 
 
-def run_converse(cfg: dict) -> int:
-    ch = _channel_of(cfg)
-    res = decoupling.converse_check(
-        ch, eps=_number(cfg, "epsilon"), delta=_number(cfg, "delta"),
-        n_samples=_number(cfg, "samples", int, default=50),
-        seed=_seed(cfg))
-    if "output" in cfg:
-        obj = {"fires": res.fires, "h_max_joint": res.h_max_joint,
-               "h_min_output": res.h_min_output, "lhs": res.lhs,
-               "trial_min_avg": res.trial_min_avg,
-               "empirical_ok": res.empirical_ok}
-        atomic_write_text(cfg["output"], json.dumps(obj, indent=2,
-                                                    sort_keys=True) + "\n")
+def run_converse(channel, epsilon, delta, samples, seed, output) -> int:
+    res = decoupling.converse_check(channel, eps=epsilon, delta=delta,
+                                    n_samples=samples, seed=seed)
+    _write(output, json.dumps({"fires": res.fires, "h_max_joint": res.h_max_joint,
+                               "h_min_output": res.h_min_output, "lhs": res.lhs,
+                               "trial_min_avg": res.trial_min_avg,
+                               "empirical_ok": res.empirical_ok}, indent=2, sort_keys=True))
     print(f"converse: fires={res.fires} lhs={res.lhs:.4f} "
           f"rhs={res.h_min_output:.4f}")
     return 0
 
 
-def run_lightcone(cfg: dict) -> int:
-    spec = _spec_of(cfg)
-    scan = dynamics.lightcone_scan(spec, _times_of(cfg),
-                                   eps=_number(cfg, "epsilon", default=0.05))
+def run_lightcone(hamiltonian, times, epsilon, format, output) -> int:
+    scan = dynamics.lightcone_scan(hamiltonian, times, eps=epsilon)
     rows = [[float(t), float(he), float(ds)]
             for t, he, ds in zip(scan.times, scan.h_max_env, scan.deficit_sys)]
-    emit((["t", "h_max_env_bits", "deficit_sys_bits"], rows),
-         cfg.get("format", "csv"), _require(cfg, "output"))
+    emit((["t", "h_max_env_bits", "deficit_sys_bits"], rows), format, output)
     print(f"lightcone: t_star={scan.t_star} slope_env={scan.slope_env:.4f} "
           f"slope_sys={scan.slope_sys:.4f}")
     return 0
 
 
-def run_recurrence(cfg: dict) -> int:
-    spec = _spec_of(cfg)
-    scan = dynamics.recurrence_scan(spec, t_max=_number(cfg, "t_max"),
-                                    step=_number(cfg, "step"),
-                                    tol=_number(cfg, "tol", default=1e-6),
-                                    eps=_number(cfg, "epsilon", default=0.05))
-    if "output" in cfg:
-        obj = {"t_rec": scan.t_rec, "distance_at_rec": scan.distance_at_rec,
-               "min_distance": scan.min_distance,
-               "argmin_time": scan.argmin_time,
-               "verdict_at_rec": None if scan.verdict_at_rec is None
-               else scan.verdict_at_rec.verdict}
-        atomic_write_text(cfg["output"], json.dumps(obj, indent=2,
-                                                    sort_keys=True) + "\n")
+def run_recurrence(hamiltonian, t_max, step, tol, epsilon, output) -> int:
+    scan = dynamics.recurrence_scan(hamiltonian, t_max=t_max, step=step, tol=tol,
+                                    eps=epsilon)
+    verdict = None if scan.verdict_at_rec is None else scan.verdict_at_rec.verdict
+    _write(output, json.dumps({"t_rec": scan.t_rec, "distance_at_rec": scan.distance_at_rec,
+                               "min_distance": scan.min_distance,
+                               "argmin_time": scan.argmin_time,
+                               "verdict_at_rec": verdict}, indent=2, sort_keys=True))
     print(f"recurrence: t_rec={scan.t_rec} min_distance={scan.min_distance:.3e}")
     return 0
 
 
-def run_absence(cfg: dict) -> int:
-    spec = _spec_of(cfg)
-    try:
-        phi = decode_complex_vector(_require(cfg, "phi"))
-    except _PARSE_ERRORS as exc:
-        raise ConfigError(f"bad phi: {exc}") from exc
-    report = assignment.verify_absence(
-        spec, phi, _times_of(cfg), n_env_samples=_number(cfg, "samples", int, default=20),
-        seed=_seed(cfg))
-    if "output" in cfg:
-        atomic_write_text(cfg["output"], report.to_json() + "\n")
+def run_absence(hamiltonian, phi, times, samples, seed, output) -> int:
+    report = assignment.verify_absence(hamiltonian, phi, times, n_env_samples=samples,
+                                       seed=seed)
+    _write(output, report.to_json())
     print(f"absence: delta_phi={report.delta_phi:.6f} bound={report.bound:.6f} "
           f"max_distance={report.deterministic_max_distance:.6f}")
     return 0
@@ -330,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="JSON experiment config (schema 1)")
         for key, kwargs in _OVERRIDES.items():
-            if key in _FIELDS[name]:
+            if key in FIELDS[name]:
                 p.add_argument(f"--{key}", default=None, **kwargs)
     return parser
 
@@ -344,7 +335,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args)
         if args.config is None and args.command != "depol-threshold":
             raise ConfigError(f"{args.command} needs a config file")
-        return RUNNERS[args.command](cfg)
+        return RUNNERS[args.command](**parse_config(args.command, cfg))
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,8 @@ import numpy as np
 from .channels import Channel
 from .entropy import (check_sdp_envelope, chain_bounds, h_max_smooth, h_min_cond,
                       h_min_smooth)
-from .linalg import (SECULAR_BLOCK, _trace_distances, as_matrix, indexed_haar_states,
-                     secular_path, trace_distance)
+from .linalg import (SECULAR_BLOCK, _trace_distances, as_matrix, check_draws,
+                     indexed_haar_states, secular_path, trace_distance)
 
 
 def _factors(kraus: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -70,6 +70,7 @@ def avg_output_distance(ch: Channel, n_samples: int, seed: int):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     d = ch.input_dim
+    check_draws(n_samples, d)
     ref = ch.apply(np.eye(d, dtype=complex) / d)
     samples = _distances(ch, indexed_haar_states(d, seed, range(n_samples)), ref)
     return float(samples.mean()), float(samples.std(ddof=1) if n_samples > 1 else 0.0), samples
@@ -159,6 +160,7 @@ def converse_check(ch: Channel, eps: float, delta: float,
         raise ValueError("sqrt(2 delta) + 4 eps must be below 1")
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    check_draws(n_samples, ch.input_dim)
     joint, marg_b = ch.choi_spectra()
     h_max_joint = h_max_smooth(joint, eps)
     h_min_output = h_min_smooth(marg_b, eps)

@@ -13,6 +13,7 @@ from .entropy import h_max_smooth, h_min_smooth
 from .linalg import (
     HERMITICITY_TOL,
     ISOMETRY_TOL,
+    MAX_ENTRIES,
     DensityMatrix,
     Evolver,
     SubsystemLayout,
@@ -462,10 +463,14 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
     """
     if spec.layout.dim > 64:
         raise ValueError("recurrence scan limited to total dimension <= 64")
+    if not 0.0 <= eps < 1.0:  # checked first: a scan that finds no return never smooths
+        raise ValueError("epsilon must be in [0, 1)")
     if not 0.0 < step <= t_max:
         raise ValueError("recurrence grid needs 0 < step <= t_max")
-    # np.arange refuses an infinite count (a step of 1e-310) with ValueError
-    grid = step * np.arange(1.0, np.floor(t_max / step * (1.0 + 1e-9)) + 1.0)
+    n_steps = np.floor(t_max / step * (1.0 + 1e-9))  # infinite for a step of 1e-310
+    if not n_steps <= MAX_ENTRIES:
+        raise ValueError(f"recurrence grid of {n_steps:.6g} steps: at most {MAX_ENTRIES}")
+    grid = step * np.arange(1.0, n_steps + 1.0)
     # the reference is the t = 0 state of the same evolution
     states = spec.evolver.evolve(_tau_columns(spec), [0.0, *grid])
     y0 = next(states)

@@ -28,6 +28,10 @@ ISOMETRY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-12
+# The most complex entries (256 MiB) that a caller's count or dimension may
+# size: an identity channel's Kraus array made dense, a time grid, a
+# recurrence scan's steps, and the Haar states of one sampling call
+MAX_ENTRIES = 1 << 24
 
 # trace_distances: complex entries of the outer products G_i G_i^dag held
 # per block of samples (512 KiB; at d = 64, r = 4 twice that held 2 MB more
@@ -638,6 +642,12 @@ def indexed_haar_states(d: int, seed: int, indices) -> np.ndarray:
     """Haar-random unit vectors, row i drawn from ``default_rng([seed, i])``
     alone, so that it does not depend on which other indices are drawn."""
     return haar_states(d, [np.random.default_rng([seed, i]) for i in indices])
+
+
+def check_draws(n: int, d: int) -> None:
+    """A ValueError if ``n`` Haar states of dimension ``d`` pass MAX_ENTRIES."""
+    if n * d > MAX_ENTRIES:
+        raise ValueError(f"{n} samples of dimension {d}: at most {MAX_ENTRIES} entries")
 
 
 def haar_state(d: int, seed=None) -> np.ndarray:

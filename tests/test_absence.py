@@ -193,6 +193,17 @@ class TestVerifyAbsence:
         with pytest.raises(ValueError):
             verify_absence(spec, PHI, [0.0])
 
+    @pytest.mark.parametrize("times, n_env_samples, message", [
+        ([], 1, "at least one time"),
+        ([0.0, 1.0], -3, "samples >= 0"),
+        ([0.0], 2 ** 22 + 1, "at most 16777216 entries"),
+    ])
+    def test_rejects_bad_counts(self, times, n_env_samples, message):
+        # no times used to report an infinite fidelity margin, and -3
+        # samples an exceedance fraction of -0.0
+        with pytest.raises(ValueError, match=message):
+            verify_absence(make_spec(0.0), PHI, times, n_env_samples=n_env_samples)
+
     def test_report_json(self):
         rep = verify_absence(make_spec(0.0), PHI, [0.0, 1.0], n_env_samples=1,
                              seed=2)

@@ -79,7 +79,7 @@ class TestConstruction:
             for d in (0, -3):
                 with pytest.raises(ValueError, match="need d >= 1"):
                     Channel.identity(d)
-            # 4097^2 entries pass MAX_KRAUS_ENTRIES = 4096^2: refused unbuilt
+            # 4097^2 entries pass MAX_ENTRIES = 4096^2: refused unbuilt
             with pytest.raises(ValueError, match="Kraus entries"):
                 Channel.identity(4097)
         eye = np.eye(3, dtype=complex)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloss import decoupling, entropy
+from memloss import assignment, cli, decoupling, entropy
 from memloss.channels import Channel
 from memloss.cli import build_parser, emit, load_config, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
-from memloss.linalg import PAULI
+from memloss.linalg import MAX_ENTRIES, PAULI, Evolver, check_draws
 from memloss.serialize import decode_complex_matrix, decode_complex_vector, save_kraus_file
 
 
@@ -135,6 +135,11 @@ class TestConfigHandling:
         ("absence", {"phi": [1, 0]}),
         ("criteria-scan", {"output": None}),
         ("criteria-scan", {"output": 5}),
+        # absence used to write "mc_exceed_fraction": -0.0 for -3 samples,
+        # and "min_fidelity_margin": Infinity for no times
+        ("absence", {"samples": -3}),
+        ("absence", {"times": []}),
+        ("lightcone", {"times": {"start": 0.0, "stop": 1.0, "num": 0}}),
     ])
     def test_wrong_field_type_exits_2(self, tmp_path, capsys, monkeypatch,
                                       command, fields):
@@ -178,8 +183,8 @@ class TestConfigHandling:
         ("absence", {"hamiltonian", "phi", "times", "samples", "seed", "output"}),
     ])
     def test_benchmark_config_fields_accepted(self, tmp_path, command, fields):
-        # the fields of the configs that benchmarks/workloads.py writes; their
-        # values are parsed later, by the runner
+        # the fields of the configs that benchmarks/workloads.py writes;
+        # load_config checks their names only, and parse_config their values
         path = write_cfg(tmp_path / "c.json", **{k: str(tmp_path / k) for k in fields})
         args = build_parser().parse_args([command, path])
         assert set(load_config(path, args)) == fields | {"schema"}
@@ -733,6 +738,81 @@ class TestNestedKeys:
         assert not out.exists()
 
 
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+class TestCountCaps:
+    """A count that sizes an array is refused, exit 2, before anything is
+    allocated: ``"num": 10**15`` used to exit 1 with a 7 PiB allocation
+    error.  The cap is ``MAX_ENTRIES`` entries."""
+
+    @pytest.mark.parametrize("command, fields, forbidden, message", [
+        ("criteria-scan", {"times": {"start": 0.0, "stop": 1.0, "num": 10 ** 15}},
+         (np, "linspace"), "bad times: expected a count from 0 to 16777216, got 10"),
+        ("lightcone", {"times": {"start": 0.0, "stop": 1.0, "num": MAX_ENTRIES + 1}},
+         (np, "linspace"), "bad times: expected a count"),
+        ("absence", {"times": {"start": 0.0, "stop": 1.0, "num": 10 ** 15}},
+         (np, "linspace"), "bad times: expected a count"),
+        ("depol-threshold", {"num": MAX_ENTRIES + 1}, (np, "linspace"),
+         "bad num: expected a count"),
+        ("recurrence", {"t_max": 1e9, "step": 1e-3}, (np, "arange"),
+         "recurrence grid of 1e+12 steps: at most 16777216"),
+        ("recurrence", {"t_max": MAX_ENTRIES + 1.0, "step": 1.0}, (np, "arange"),
+         "recurrence grid of"),
+        # samples x the dimension of one drawn state: 2, 1024 and d_E = 4
+        ("decoupling", {"samples": MAX_ENTRIES // 2 + 1},
+         (decoupling, "indexed_haar_states"), "8388609 samples of dimension 2: at most 16777216"),
+        ("converse", {"samples": 10 ** 15}, (decoupling, "indexed_haar_states"),
+         "1000000000000000 samples of dimension 1024"),
+        ("absence", {"samples": MAX_ENTRIES // 4 + 1}, (assignment, "indexed_haar_states"),
+         "4194305 samples of dimension 4"),
+    ], ids=["scan-grid", "lightcone-grid", "absence-grid", "depol-num", "recurrence",
+            "recurrence-edge", "decoupling-samples", "converse-samples",
+            "absence-samples"])
+    def test_oversized_count_exits_2(self, tmp_path, capsys, monkeypatch, command, fields,
+                                     forbidden, message):
+        _forbid(monkeypatch, *forbidden)
+        base = {"hamiltonian": product_spec_dict(), "times": [0.0, 1.0],
+                "phi": [[1.0, 0.0], [0.0, 0.0]], "t_max": 1.0, "step": 0.5,
+                "channel": {"builtin": "identity", "d": 1024 if command == "converse" else 2},
+                "epsilon": 0.05, "delta": 0.001, "samples": 2, "seed": 0}
+        out = tmp_path / "out"
+        cfg = {k: v for k, v in base.items() if k in READS[command]}
+        cfg.update(fields, output=str(out))
+        assert main([command, write_cfg(tmp_path / "c.json", **cfg)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_draws_up_to_the_cap(self):
+        check_draws(MAX_ENTRIES // 2, 2)
+        check_draws(0, 10 ** 9)
+        with pytest.raises(ValueError, match="at most 16777216 entries"):
+            check_draws(MAX_ENTRIES // 2 + 1, 2)
+
+
+class TestFormatBeforeWork:
+    """``format`` is parsed with every other field, before any work: a config
+    with ``"format": "yaml"`` used to evolve and smooth every time first."""
+
+    @pytest.mark.parametrize("command", ["criteria-scan", "lightcone", "depol-threshold"])
+    def test_bad_format_exits_2_unrun(self, tmp_path, capsys, monkeypatch, command):
+        _forbid(monkeypatch, Evolver, "evolve")
+        _forbid(monkeypatch, cli, "iid_threshold")
+        out = tmp_path / "out"
+        cfg = {"hamiltonian": TestIntegerFields.chain, "times": [0.0, 1.0]}
+        if command == "depol-threshold":
+            cfg = {}
+        path = write_cfg(tmp_path / "c.json", format="yaml", output=str(out), **cfg)
+        assert main([command, path]) == 2
+        assert ("error: bad format: expected 'csv' or 'json', got 'yaml'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 # JSON values of the wrong kind for any scalar field
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                   st.lists(st.integers(0, 3), max_size=2),
@@ -821,28 +901,38 @@ _BAD_GRIDS = st.one_of(
     st.fixed_dictionaries({"start": st.just(0.0), "stop": _NOT_A_NUMBER, "num": st.just(3)}),
     st.fixed_dictionaries({"start": st.just(0.0), "stop": st.just(1.0),
                            "num": st.one_of(_NOT_A_NUMBER, st.floats(),
-                                            st.integers(max_value=0))}),
+                                            st.integers(max_value=0),
+                                            st.integers(min_value=MAX_ENTRIES + 1))}),
     st.fixed_dictionaries({"start": st.just(0.0), "stop": st.just(1.0), "num": st.just(3),
                            "endpoint": st.booleans()}),
 )
+_BAD_HAMILTONIAN = st.tuples(st.just("hamiltonian"), st.one_of(
+    _NOT_A_NUMBER, st.integers(), st.lists(_JUNK, max_size=2),
+    _BAD_CHAIN_FIELDS.map(lambda bad: dict(_SCAN_CHAIN, **{bad[0]: bad[1]}))))
+_BAD_TIMES = st.tuples(st.just("times"), st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=4), st.just([]),
+    st.lists(st.one_of(st.none(), st.text(max_size=2), _NONFINITE), min_size=1,
+             max_size=3).map(lambda bad: [0.0, *bad]),
+    _BAD_GRIDS))
+_BAD_EPSILON = st.tuples(st.just("epsilon"), st.one_of(
+    _NOT_A_NUMBER, st.floats(min_value=1.0), st.floats(max_value=-1e-300),
+    st.integers(min_value=1), st.integers(max_value=-1)))
+
+
+def _unknown_field(command):
+    return st.tuples(st.text(min_size=1, max_size=8).filter(
+        lambda k: k not in READS[command] | {"schema"}), _JUNK)
+
+
 _BAD_SCAN_FIELDS = st.one_of(
-    st.tuples(st.just("hamiltonian"), st.one_of(
-        _NOT_A_NUMBER, st.integers(), st.lists(_JUNK, max_size=2),
-        _BAD_CHAIN_FIELDS.map(lambda bad: dict(_SCAN_CHAIN, **{bad[0]: bad[1]})))),
-    st.tuples(st.just("times"), st.one_of(
-        st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=4),
-        st.lists(st.one_of(st.none(), st.text(max_size=2), _NONFINITE), min_size=1,
-                 max_size=3).map(lambda bad: [0.0, *bad]),
-        _BAD_GRIDS)),
-    st.tuples(st.just("epsilon"), st.one_of(
-        _NOT_A_NUMBER, st.floats(min_value=1.0), st.floats(max_value=-1e-300),
-        st.integers(min_value=1), st.integers(max_value=-1))),
+    _BAD_HAMILTONIAN,
+    _BAD_TIMES,
+    _BAD_EPSILON,
     st.tuples(st.just("format"), st.one_of(
         _JUNK.filter(lambda f: f not in ("csv", "json")), st.integers(), st.floats())),
     # retired: a verdict fires at margin > 0
     st.tuples(st.just("slack"), st.one_of(_JUNK, st.floats(), st.integers())),
-    st.tuples(st.text(min_size=1, max_size=8).filter(
-        lambda k: k not in READS["criteria-scan"] | {"schema"}), _JUNK),
+    _unknown_field("criteria-scan"),
 )
 
 
@@ -856,6 +946,86 @@ class TestScanConfigFuzz:
         key, value = bad
         _assert_exits_2_unwritten(command, {"hamiltonian": _SCAN_CHAIN, "times": [0.0, 1.0],
                                             "epsilon": 0.05}, {key: value})
+
+
+# recurrence: t_max = 1 and step = 0.5 on the 4-site chain
+_BAD_RECURRENCE_FIELDS = st.one_of(
+    _BAD_HAMILTONIAN,
+    _BAD_EPSILON,
+    st.tuples(st.sampled_from(["t_max", "step", "tol"]), _NOT_A_NUMBER),
+    # no grid: step <= 0 or step > t_max
+    st.tuples(st.just("step"), st.one_of(st.floats(max_value=0.0),
+                                         st.floats(min_value=1.0, exclude_min=True))),
+    st.tuples(st.just("t_max"), st.floats(max_value=0.5, exclude_max=True)),
+    # a grid past MAX_ENTRIES steps of 0.5
+    st.tuples(st.just("t_max"), st.floats(min_value=MAX_ENTRIES, max_value=1e300)),
+    _unknown_field("recurrence"),
+)
+
+# absence: phi = |0> on the 4-site chain with S one site (d_E = 8)
+_BAD_ABSENCE_FIELDS = st.one_of(
+    # absence reads no psi_e: a chain without one is valid
+    _BAD_HAMILTONIAN.filter(lambda bad: not isinstance(bad[1], dict)
+                            or bad[1].get("psi_e", ()) is not None),
+    _BAD_TIMES,
+    st.tuples(st.just("phi"), st.one_of(
+        _JUNK, st.just([[0.0, 0.0], [0.0, 0.0]]), st.just([[1.0, 0.0], [1.0, 0.0]]),
+        st.tuples(_NONFINITE, st.sampled_from([0, 1])).map(
+            lambda bad: [[bad[0], 0.0], [0.0, 0.0]][::1 - 2 * bad[1]]),
+        st.integers(1, 17).filter(lambda n: n != 2).map(
+            lambda n: [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)))),
+    st.tuples(st.just("samples"), st.one_of(
+        _JUNK, st.floats(), st.integers(max_value=-1),
+        st.integers(min_value=MAX_ENTRIES // 8 + 1))),
+    st.tuples(st.just("seed"), st.one_of(_JUNK, st.floats(), st.integers(max_value=-1))),
+    _unknown_field("absence"),
+)
+
+# depol-threshold: every field at its default
+_BAD_DEPOL_FIELDS = st.one_of(
+    st.tuples(st.sampled_from(["p_lo", "p_hi", "tol", "p_min", "p_max"]), _NOT_A_NUMBER),
+    # an empty bracket (p_hi = 0.5), and grids that leave [0, 1]
+    st.tuples(st.just("p_lo"), st.floats(min_value=0.5, max_value=1e300)),
+    st.tuples(st.just("p_min"), st.floats(min_value=-1e300, max_value=-1e-300)),
+    st.tuples(st.just("p_max"), st.floats(min_value=1.0, max_value=1e300, exclude_min=True)),
+    st.tuples(st.just("num"), st.one_of(
+        _NOT_A_NUMBER, st.floats(), st.integers(max_value=-1),
+        st.integers(min_value=MAX_ENTRIES + 1))),
+    st.tuples(st.just("format"), st.one_of(
+        _JUNK.filter(lambda f: f not in ("csv", "json")), st.integers(), st.floats())),
+    _unknown_field("depol-threshold"),
+)
+
+
+class TestChainConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(bad=_BAD_RECURRENCE_FIELDS)
+    def test_recurrence_malformed_field_exits_2(self, bad):
+        # a malformed or misspelt field, an epsilon outside [0, 1) (checked
+        # even when no recurrence is found) or an empty or oversized grid
+        key, value = bad
+        _assert_exits_2_unwritten("recurrence", {"hamiltonian": _SCAN_CHAIN, "t_max": 1.0,
+                                                 "step": 0.5}, {key: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=_BAD_ABSENCE_FIELDS)
+    def test_absence_malformed_field_exits_2(self, bad):
+        # a malformed or misspelt field, a phi of the wrong size or norm, no
+        # times, or a negative or oversized number of samples
+        key, value = bad
+        _assert_exits_2_unwritten("absence", {"hamiltonian": _SCAN_CHAIN, "times": [0.0, 1.0],
+                                              "phi": [[1.0, 0.0], [0.0, 0.0]], "samples": 2,
+                                              "seed": 0}, {key: value})
+
+
+class TestDepolThresholdConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(bad=_BAD_DEPOL_FIELDS)
+    def test_malformed_field_exits_2(self, bad):
+        # a malformed or misspelt field, an empty bracket, a grid outside
+        # [0, 1] or a negative or oversized num
+        key, value = bad
+        _assert_exits_2_unwritten("depol-threshold", {}, {key: value})
 
 
 class TestDecouplingConfigFuzz:

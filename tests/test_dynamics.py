@@ -354,6 +354,22 @@ class TestRecurrence:
         with pytest.raises(ValueError):
             recurrence_scan(spec, 1.0, 0.1)
 
+    @pytest.mark.parametrize("t_max, step, eps, message", [
+        (3.0, 2 * np.pi / 100, 1.5, r"epsilon must be in \[0, 1\)"),
+        (3.0, 2 * np.pi / 100, -0.1, r"epsilon must be in \[0, 1\)"),
+        (2.0 ** 24 + 1.0, 1.0, 0.05, "at most 16777216"),
+        (1.0, 1e-310, 0.05, "at most 16777216"),
+    ])
+    def test_refused_before_the_scan(self, monkeypatch, t_max, step, eps, message):
+        # an epsilon that no recurrence reaches used to pass unchecked, and
+        # a grid's steps are counted before np.arange makes them
+        def forbidden(*args, **kwargs):
+            raise AssertionError("made the grid")
+
+        monkeypatch.setattr(np, "arange", forbidden)
+        with pytest.raises(ValueError, match=message):
+            recurrence_scan(self.spec(), t_max, step, eps=eps)
+
 
 class TestCodec:
     def test_explicit_round_trip(self):
