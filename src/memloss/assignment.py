@@ -32,6 +32,17 @@ class AssignmentResult:
     overlaps: np.ndarray
 
 
+def check_phi(phi, d_s: int) -> np.ndarray:
+    """phi as a flat vector; ValueError unless it has ``d_s`` amplitudes
+    and norm 1."""
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    if phi.size != d_s:
+        raise ValueError(f"phi has {phi.size} amplitudes, S has dimension {d_s}")
+    if not abs(np.linalg.norm(phi) - 1.0) <= 1e-9:
+        raise ValueError("phi is not normalized")
+    return phi
+
+
 def overlap_matrix(eig_vectors, phi, e_basis=None) -> np.ndarray:
     """Overlap table ``f[k, j] = |<E_k| phi (x) e_j>|``.
 
@@ -147,7 +158,9 @@ def spec_delta_phi(spec: HamiltonianSpec, phi) -> AssignmentResult:
 
     A sparse spec (a spin chain) evolves without eigenvectors, so its
     matrix is diagonalized densely here: the assignment needs all of them.
+    phi is checked against S first.
     """
+    phi = check_phi(phi, spec.d_s)
     vecs = spec.evolver.eigenvectors
     if vecs is None:
         vecs = hermitian_eig(spec.matrix.toarray())[1]

@@ -99,6 +99,14 @@ def _path(value) -> str:
     return value
 
 
+def _epsilon(value) -> float:
+    """A smoothing radius in [0, 1), checked before any evolution."""
+    eps = require_float(value)
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"expected a value in [0, 1), got {eps!r}")
+    return eps
+
+
 def _times(value) -> list[float]:
     """A non-empty list of times, or a grid ``{"start", "stop", "num"}``."""
     if isinstance(value, dict):
@@ -143,7 +151,7 @@ REQUIRED = object()  # the default of a field that has none
 # they are parsed.  Any other field is an error, so a misspelt one cannot fall
 # back to its default; Hamiltonians, channels and time grids check keys too.
 _SCAN_FIELDS = {"hamiltonian": (_spec, REQUIRED), "times": (_times, REQUIRED),
-                "epsilon": (require_float, 0.05), "format": (_format, "csv"),
+                "epsilon": (_epsilon, 0.05), "format": (_format, "csv"),
                 "output": (_path, REQUIRED)}
 FIELDS = {
     "criteria-scan": _SCAN_FIELDS,
@@ -161,7 +169,7 @@ FIELDS = {
     "lightcone": _SCAN_FIELDS,
     "recurrence": {"hamiltonian": (_spec, REQUIRED), "t_max": (require_float, REQUIRED),
                    "step": (require_float, REQUIRED), "tol": (require_float, 1e-6),
-                   "epsilon": (require_float, 0.05), "output": (_path, None)},
+                   "epsilon": (_epsilon, 0.05), "output": (_path, None)},
     "absence": {"hamiltonian": (_spec, REQUIRED), "phi": (decode_complex_vector, REQUIRED),
                 "times": (_times, REQUIRED), "samples": (require_int, 20),
                 "seed": (_seed, REQUIRED), "output": (_path, None)},
@@ -198,7 +206,8 @@ def load_config(path: str | None, args) -> dict:
 
 def parse_config(command: str, cfg: dict) -> dict:
     """Every field of ``command``, parsed or defaulted, before any work: the
-    first missing or malformed one is a ConfigError that names it."""
+    first missing or malformed one is a ConfigError that names it.  So is an
+    ``absence`` phi that does not fit the Hamiltonian's S."""
     values = {}
     for key, (parse, default) in FIELDS[command].items():
         if key not in cfg and default is REQUIRED:
@@ -207,6 +216,11 @@ def parse_config(command: str, cfg: dict) -> dict:
             values[key] = parse(cfg[key]) if key in cfg else default
         except _PARSE_ERRORS as exc:
             raise ConfigError(f"bad {key}: {exc}") from exc
+    if command == "absence":
+        try:
+            assignment.check_phi(values["phi"], values["hamiltonian"].d_s)
+        except ValueError as exc:
+            raise ConfigError(f"bad phi: {exc}") from exc
     return values
 
 

@@ -471,8 +471,10 @@ def recurrence_scan(spec: HamiltonianSpec, t_max: float, step: float,
     if not n_steps <= MAX_ENTRIES:
         raise ValueError(f"recurrence grid of {n_steps:.6g} steps: at most {MAX_ENTRIES}")
     grid = step * np.arange(1.0, n_steps + 1.0)
-    # the reference is the t = 0 state of the same evolution
-    states = spec.evolver.evolve(_tau_columns(spec), [0.0, *grid])
+    # the reference is the t = 0 state of the same evolution; the columns
+    # come first, so a spec without psi_e fails before the evolver is built
+    x0 = _tau_columns(spec)
+    states = spec.evolver.evolve(x0, [0.0, *grid])
     y0 = next(states)
     tau0 = y0 @ y0.conj().T
     best, best_t = np.inf, 0.0

@@ -261,7 +261,7 @@ class SdpResult:
     sigma: np.ndarray     # primal point, I_A (x) sigma - rho passes Cholesky
     x: np.ndarray         # dual point, X >= 0 with tr_A X = I_B
     gap: float            # certified duality gap tr sigma - tr(rho X)
-    converged: bool       # gap <= SDP_GAP_TOL tr sigma within SDP_MAX_STEPS
+    converged: bool       # gap <= SDP_GAP_TOL tr sigma within SDP_MAX_STEPS, certified
     newton_steps: int     # predictor-corrector steps taken
 
 
@@ -274,26 +274,72 @@ def check_sdp_envelope(d_a: int, d_b: int) -> None:
             raise ValueError(f"{what} {n} exceeds solver envelope {SDP_MAX_DIM}")
 
 
+def _real_field(rho: np.ndarray) -> bool:
+    """Whether the solve is tried on ``Re rho``: its imaginary part is at
+    rounding level, ``max |Im rho| <= n eps max |rho|``."""
+    scale = rho.shape[0] * np.finfo(float).eps * float(abs(rho).max(initial=0.0))
+    return float(abs(rho.imag).max(initial=0.0)) <= scale
+
+
 def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
     """Conditional min-entropy of a bipartite state, with a certified gap.
 
-    Starts from the strictly feasible pair ``sigma = (lambda_max(rho) + 0.1)
-    I_B``, ``X = I / d_A`` and follows the central path ``S X = mu I``.  Each
-    step factors ``S`` and the Hermitian positive-definite Schur complement
-    ``D -> tr_A sym(S^-1 (I_A (x) D) X)`` once, solves with it twice
-    (Mehrotra's predictor, then the corrector), and moves ``X`` and
-    ``sigma`` each at most a full step and at most ``_STEP_FRACTION`` of
-    the way to the cone's boundary, as read off trial Cholesky
-    factorizations.  The solve stops once the gap ``tr sigma - tr(rho X)``
-    is at most ``SDP_GAP_TOL tr sigma``; running out of ``SDP_MAX_STEPS``
-    steps, a Schur complement that fails Cholesky or a step that cannot
-    move clears ``converged``.
+    A state whose imaginary part is at rounding level (:func:`_real_field`)
+    is solved on ``Re rho`` in real arithmetic; the result stands only if
+    it is certified against the input rho, else the complex solve runs.
+    A real symmetric ``X >= 0`` with ``tr_A X = I_B`` is dual-feasible for
+    rho, and ``tr(rho X) = tr(Re rho X)``, since ``Im rho`` is antisymmetric;
+    the primal side is the complex Cholesky of ``I_A (x) sigma - rho``.  So
+    ``sigma`` and ``x`` are real arrays when the real solve stood.
     """
     rho = as_matrix(rho_ab)
     n = d_a * d_b
     if rho.shape != (n, n):
         raise ValueError("state dimension does not match d_a * d_b")
     check_sdp_envelope(d_a, d_b)
+    if _real_field(rho):
+        result = _certified(rho, d_a, d_b, *_interior_point(
+            np.ascontiguousarray(rho.real), d_a, d_b))
+        if result.converged:
+            return result
+    return _certified(rho, d_a, d_b, *_interior_point(rho, d_a, d_b))
+
+
+def _certified(rho, d_a: int, d_b: int, sigma, x, steps: int) -> SdpResult:
+    """The solve's end point, checked against the input rho: ``converged``
+    needs a gap ``tr sigma - Re tr(rho^dag X)`` of at most ``SDP_GAP_TOL
+    tr sigma``, Cholesky factors of ``I_A (x) sigma - rho`` and of X, and
+    ``tr_A X = I_B`` to 1e-12.  It shares no code with the solve it checks."""
+    tr_sigma = float(sigma.trace().real)
+    gap = tr_sigma - float(np.vdot(rho, x).real)
+    slack = np.negative(rho)
+    np.einsum("abad->abd", slack.reshape(d_a, d_b, d_a, d_b))[...] += sigma
+    tr_a = np.einsum("abad->bd", x.reshape(d_a, d_b, d_a, d_b))
+    converged = bool(
+        gap <= SDP_GAP_TOL * tr_sigma
+        and abs(tr_a - np.eye(d_b)).max() <= 1e-12
+        and all(linalg.get_lapack_funcs("potrf", (m,))(m)[1] == 0 for m in (slack, x)))
+    return SdpResult(value=float(-np.log2(tr_sigma)), sigma=sigma, x=x, gap=gap,
+                     converged=converged, newton_steps=steps)
+
+
+def _interior_point(rho: np.ndarray, d_a: int, d_b: int):
+    """``(sigma, X, steps)`` of the solve on rho, in rho's number field.
+
+    Starts from the strictly feasible pair ``sigma = (lambda_max(rho) + 0.1)
+    I_B``, ``X = I / d_A`` and follows the central path ``S X = mu I``.  Each
+    step factors ``S`` and the positive-definite Schur complement
+    ``D -> tr_A sym(S^-1 (I_A (x) D) X)`` once, solves with it twice
+    (Mehrotra's predictor, then the corrector), and moves ``X`` and
+    ``sigma`` each at most a full step and at most ``_STEP_FRACTION`` of
+    the way to the cone's boundary, as read off trial Cholesky
+    factorizations.  The solve stops once the gap ``tr sigma - tr(rho X)``
+    is at most ``SDP_GAP_TOL tr sigma``, after ``SDP_MAX_STEPS`` steps, or
+    at a Schur complement that fails Cholesky or a step that cannot move.
+    """
+    n = d_a * d_b
+    # LAPACK's routines for rho's field: d* for a real state, z* for a complex one
+    potrf, potri, potrs = linalg.get_lapack_funcs(("potrf", "potri", "potrs"), (rho,))
 
     def tr_a(m):
         """Partial trace over A of an n x n matrix."""
@@ -305,7 +351,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
         ``m.T`` is Fortran-ordered, so LAPACK writes into m without a copy;
         its upper factor U (``U^dag U = m^T``) is L read in C order.
         """
-        return linalg.lapack.zpotrf(m.T, lower=0, overwrite_a=1, clean=0)[1] == 0
+        return potrf(m.T, lower=0, overwrite_a=1, clean=0)[1] == 0
 
     def lift(out, sig):
         """``I_A (x) sig - rho`` written into out."""
@@ -328,7 +374,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
 
     def solve(rhs):
         """The Hermitian ds with ``tr_A sym(P (I_A (x) ds) X) = rhs``."""
-        ds = linalg.lapack.zpotrs(schur, 2.0 * rhs.reshape(-1), lower=1)[0].reshape(d_b, d_b)
+        ds = potrs(schur, 2.0 * rhs.reshape(-1), lower=1)[0].reshape(d_b, d_b)
         return 0.5 * (ds + ds.conj().T)
 
     def reach(point, grid) -> float:
@@ -353,13 +399,12 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
     # step-length trials and scratch) and at most three more at a time
     eye_b = np.eye(d_b)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    sigma = (float(np.linalg.eigvalsh(rho)[-1]) + 0.1) * np.eye(d_b, dtype=complex)
-    x = np.eye(n, dtype=complex) / d_a
-    fac = lift(np.empty((n, n), dtype=complex), sigma)
+    sigma = (float(np.linalg.eigvalsh(rho)[-1]) + 0.1) * np.eye(d_b, dtype=rho.dtype)
+    x = np.eye(n, dtype=rho.dtype) / d_a
+    fac = lift(np.empty((n, n), dtype=rho.dtype), sigma)
     trial = np.empty_like(fac)
     factor(fac)  # S >= 0.1 I
     steps = 0
-    converged = False
     while True:
         # rounding in the Schur solves leaves tr_A X off I_B; the congruence
         # by I_A (x) C^-1, with C C^dag = tr_A X, restores it, so the gap
@@ -371,13 +416,10 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
         x *= 0.5
         tr_sigma = float(sigma.trace().real)
         gap = tr_sigma - float(np.vdot(rho, x).real)
-        if gap <= SDP_GAP_TOL * tr_sigma:
-            converged = True
-            break
-        if steps == SDP_MAX_STEPS:
+        if gap <= SDP_GAP_TOL * tr_sigma or steps == SDP_MAX_STEPS:
             break
         # P = S^-1 in place of S's factor, the upper triangle from the lower
-        linalg.lapack.zpotri(fac.T, lower=0, overwrite_c=1)
+        potri(fac.T, lower=0, overwrite_c=1)
         p = fac
         np.copyto(p, np.conjugate(p.T, out=trial), where=upper)
         # Schur complement: H[(b, d), (j, k)] = sum_{a, c} P[a, b, c, j] X[c, k, a, d]
@@ -393,7 +435,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
         schur += prod.transpose(3, 0, 2, 1)
         del prod
         schur = schur.reshape(d_b * d_b, d_b * d_b).T
-        if linalg.lapack.zpotrf(schur, lower=1, overwrite_a=1, clean=0)[1]:
+        if potrf(schur, lower=1, overwrite_a=1, clean=0)[1]:
             break
         # predictor: the affine direction, centering target 0
         ds = solve(-eye_b)
@@ -423,9 +465,7 @@ def min_entropy_sdp(rho_ab, d_a: int, d_b: int) -> SdpResult:
         x += dx
         del dx
         steps += 1
-
-    return SdpResult(value=float(-np.log2(tr_sigma)), sigma=sigma, x=x, gap=gap,
-                     converged=converged, newton_steps=steps)
+    return sigma, x, steps
 
 
 def h_min_cond(rho: DensityMatrix, eps: float = 0.0) -> float:

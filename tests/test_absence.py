@@ -68,6 +68,14 @@ class TestOverlapMatrix:
             with pytest.raises(ValueError):
                 overlap_matrix(np.eye(4), PHI, e_basis=e_basis)
 
+    def test_spec_phi_must_fit_s(self):
+        # a phi of d_E = 4 amplitudes divides d_S d_E = 8, so overlap_matrix
+        # alone would read it as a 4 x 2 split; the spec's S has dimension 2
+        spec = make_spec(0.2)
+        for phi in (np.eye(4)[0], np.eye(8)[0], np.ones(1)):
+            with pytest.raises(ValueError, match="phi has .* S has dimension 2"):
+                spec_delta_phi(spec, phi)
+
     def test_perturbative_deficit_scaling(self):
         # for weak coupling the worst column deficit 1 - max_k f[k, j]
         # grows quadratically in g

@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memloss import assignment, cli, decoupling, entropy
+from memloss import assignment, cli, decoupling, dynamics, entropy
 from memloss.channels import Channel
 from memloss.cli import build_parser, emit, load_config, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
@@ -848,9 +851,11 @@ _BAD_FIELDS = st.one_of(
 )
 
 
-def _assert_exits_2_unwritten(command, cfg, fields):
-    """Run ``command`` on ``cfg`` updated with ``fields``, in a fresh directory;
-    a channel given as a tuple is a Kraus file holding its second entry."""
+def _assert_exits_2_unwritten(command, cfg, fields) -> str:
+    """Run ``command`` on ``cfg`` updated with ``fields``, in a fresh directory,
+    and return what it printed to stderr; a channel given as a tuple is a
+    Kraus file holding its second entry.  No Hamiltonian may be diagonalized
+    or evolved on the way: the error comes before any work."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = dict(cfg, schema=1, output=os.path.join(tmp, "out.json"), **fields)
         if isinstance(cfg.get("channel"), tuple):
@@ -861,9 +866,14 @@ def _assert_exits_2_unwritten(command, cfg, fields):
         path = os.path.join(tmp, "c.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
-        assert main([command, path]) == 2
+        err = io.StringIO()
+        with mock.patch.object(dynamics, "Evolver",
+                               side_effect=AssertionError("Hamiltonian reached")), \
+                contextlib.redirect_stderr(err):
+            assert main([command, path]) == 2
         # neither the output nor an atomic write's temporary file
         assert set(os.listdir(tmp)) <= {"c.json", "kraus.json"}
+        return err.getvalue()
 
 
 # criteria-scan and lightcone: a 4-site chain, and draws that each break it
@@ -914,9 +924,10 @@ _BAD_TIMES = st.tuples(st.just("times"), st.one_of(
     st.lists(st.one_of(st.none(), st.text(max_size=2), _NONFINITE), min_size=1,
              max_size=3).map(lambda bad: [0.0, *bad]),
     _BAD_GRIDS))
-_BAD_EPSILON = st.tuples(st.just("epsilon"), st.one_of(
-    _NOT_A_NUMBER, st.floats(min_value=1.0), st.floats(max_value=-1e-300),
-    st.integers(min_value=1), st.integers(max_value=-1)))
+# numbers outside [0, 1), which parse_config refuses by name
+_OUT_OF_RANGE_EPSILON = st.one_of(st.floats(min_value=1.0), st.floats(max_value=-1e-300),
+                                  st.integers(min_value=1), st.integers(max_value=-1))
+_BAD_EPSILON = st.tuples(st.just("epsilon"), st.one_of(_NOT_A_NUMBER, _OUT_OF_RANGE_EPSILON))
 
 
 def _unknown_field(command):
@@ -947,6 +958,13 @@ class TestScanConfigFuzz:
         _assert_exits_2_unwritten(command, {"hamiltonian": _SCAN_CHAIN, "times": [0.0, 1.0],
                                             "epsilon": 0.05}, {key: value})
 
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["criteria-scan", "lightcone"]), eps=_OUT_OF_RANGE_EPSILON)
+    def test_out_of_range_epsilon_is_named(self, command, eps):
+        err = _assert_exits_2_unwritten(command, {"hamiltonian": _SCAN_CHAIN,
+                                                  "times": [0.0, 1.0]}, {"epsilon": eps})
+        assert "bad epsilon" in err
+
 
 # recurrence: t_max = 1 and step = 0.5 on the 4-site chain
 _BAD_RECURRENCE_FIELDS = st.one_of(
@@ -962,7 +980,12 @@ _BAD_RECURRENCE_FIELDS = st.one_of(
     _unknown_field("recurrence"),
 )
 
-# absence: phi = |0> on the 4-site chain with S one site (d_E = 8)
+# absence: phi = |0> on the 4-site chain with S one site (d_E = 8); a
+# normalized phi of any other size does not fit S
+_WRONG_SIZE_PHI = st.integers(1, 17).filter(lambda n: n != 2).map(
+    lambda n: [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1))
+_ABSENCE = {"hamiltonian": _SCAN_CHAIN, "times": [0.0, 1.0],
+            "phi": [[1.0, 0.0], [0.0, 0.0]], "samples": 2, "seed": 0}
 _BAD_ABSENCE_FIELDS = st.one_of(
     # absence reads no psi_e: a chain without one is valid
     _BAD_HAMILTONIAN.filter(lambda bad: not isinstance(bad[1], dict)
@@ -972,8 +995,7 @@ _BAD_ABSENCE_FIELDS = st.one_of(
         _JUNK, st.just([[0.0, 0.0], [0.0, 0.0]]), st.just([[1.0, 0.0], [1.0, 0.0]]),
         st.tuples(_NONFINITE, st.sampled_from([0, 1])).map(
             lambda bad: [[bad[0], 0.0], [0.0, 0.0]][::1 - 2 * bad[1]]),
-        st.integers(1, 17).filter(lambda n: n != 2).map(
-            lambda n: [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)))),
+        _WRONG_SIZE_PHI)),
     st.tuples(st.just("samples"), st.one_of(
         _JUNK, st.floats(), st.integers(max_value=-1),
         st.integers(min_value=MAX_ENTRIES // 8 + 1))),
@@ -1013,9 +1035,12 @@ class TestChainConfigFuzz:
         # a malformed or misspelt field, a phi of the wrong size or norm, no
         # times, or a negative or oversized number of samples
         key, value = bad
-        _assert_exits_2_unwritten("absence", {"hamiltonian": _SCAN_CHAIN, "times": [0.0, 1.0],
-                                              "phi": [[1.0, 0.0], [0.0, 0.0]], "samples": 2,
-                                              "seed": 0}, {key: value})
+        _assert_exits_2_unwritten("absence", _ABSENCE, {key: value})
+
+    @settings(max_examples=50, deadline=None)
+    @given(phi=_WRONG_SIZE_PHI)
+    def test_absence_phi_size_is_named(self, phi):
+        assert "bad phi" in _assert_exits_2_unwritten("absence", _ABSENCE, {"phi": phi})
 
 
 class TestDepolThresholdConfigFuzz:

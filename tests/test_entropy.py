@@ -525,6 +525,55 @@ class TestConditionalSdp:
         assert res.converged
         assert_certified(res, rho, d_a, d_b)
 
+    @PROPERTY
+    @given(d_a=st.integers(1, 3), d_b=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           rank=st.integers(1, 9), rounding=st.booleans())
+    def test_real_state_takes_real_field(self, d_a, d_b, seed, rank, rounding):
+        # a real state, or one whose imaginary part is antisymmetric and at
+        # rounding level, is solved in real arithmetic and certified
+        # against the complex input
+        n = d_a * d_b
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, min(rank, n)))
+        rho = (g @ g.T / np.sum(g * g)).astype(complex)
+        if rounding:
+            noise = rng.uniform(-1.0, 1.0, (n, n))
+            rho += 1e-17 * 1j * (noise - noise.T)
+        res = min_entropy_sdp(rho, d_a, d_b)
+        assert res.converged
+        assert res.sigma.dtype == res.x.dtype == np.float64
+        assert abs(res.value - min_entropy_sdp_basis(rho, d_a, d_b, gap_tol=1e-12)) < 1e-9
+        assert_certified(res, rho, d_a, d_b)
+
+    def test_field_rule(self):
+        rho = max_entangled(2).data
+        assert entropy._real_field(rho)
+        assert entropy._real_field(rho + 1e-17j * np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert not entropy._real_field(rho + 1e-12j * np.diag([1.0, -1.0, 1.0, -1.0]))
+        assert not entropy._real_field(np.full((4, 4), np.nan, dtype=complex))
+
+    def test_complex_fallback(self, monkeypatch):
+        # (|00> + i|11>)/sqrt(2): Re rho is classically correlated, with
+        # H_min(A|B) = 0 against -1, so the real solve's sigma fails the
+        # complex Cholesky of I (x) sigma - rho and the complex solve runs
+        amps = np.array([1.0, 0.0, 0.0, 1j]) / np.sqrt(2.0)
+        rho = np.outer(amps, amps.conj())
+        real = entropy._certified(rho, 2, 2, *entropy._interior_point(
+            np.ascontiguousarray(rho.real), 2, 2))
+        assert not real.converged
+        assert abs(real.value) < 1e-9
+        monkeypatch.setattr(entropy, "_real_field", lambda rho: False)
+        complex_only = min_entropy_sdp(rho, 2, 2)
+        monkeypatch.setattr(entropy, "_real_field", lambda rho: True)
+        res = min_entropy_sdp(rho, 2, 2)
+        assert res.sigma.dtype == res.x.dtype == np.complex128
+        for field in ("value", "gap", "converged", "newton_steps"):
+            assert getattr(res, field) == getattr(complex_only, field)
+        assert np.array_equal(res.sigma, complex_only.sigma)
+        assert np.array_equal(res.x, complex_only.x)
+        assert res.converged
+        assert_certified(res, rho, 2, 2, -1.0)
+
     @pytest.mark.parametrize("q", np.random.default_rng(808).uniform(0.3, 0.9, 10),
                              ids=lambda q: f"{q:.4f}")
     def test_weyl_closed_form(self, q):
@@ -533,6 +582,8 @@ class TestConditionalSdp:
         res = min_entropy_sdp(rho, d, d)
         assert res.converged
         assert res.newton_steps <= 60
+        # the Weyl Choi state is real up to rounding: the real field stood
+        assert res.sigma.dtype == res.x.dtype == np.float64
         exact = -np.log2(d * (1.0 - q + q / d**2))
         assert abs(res.value - exact) < 1e-9
         assert_certified(res, rho, d, d, exact)
