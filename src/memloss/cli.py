@@ -17,7 +17,7 @@ from .channels import Channel, depolarizing, iid_threshold
 from .entropy import von_neumann
 from .linalg import MAX_ENTRIES, maximally_mixed
 from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
-                        reject_unknown_keys, require_float, require_int)
+                        read_json, reject_unknown_keys, require_float, require_int)
 
 SCHEMA_VERSION = 1
 
@@ -185,8 +185,7 @@ def load_config(path: str | None, args) -> dict:
         cfg: dict = {"schema": SCHEMA_VERSION}
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+            cfg = read_json(path)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(cfg, dict):

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -153,13 +153,23 @@ def isometry_deviation(v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive semidefinite matrix with trace in (0, 1] and a factor layout."""
+    """Positive semidefinite matrix with trace in (0, 1] and a factor layout.
+
+    The eigenvalues found by the positive-semidefinite check are kept for
+    :meth:`spectrum`, so ``data`` is a value: a read-only array, copied from
+    the one given where it shares that array's memory, so that no later
+    write by the caller can make it disagree with the kept spectrum.
+    """
 
     data: np.ndarray
     layout: SubsystemLayout
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=complex)
+        if isinstance(self.data, np.ndarray) and np.may_share_memory(data, self.data):
+            data = data.copy()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         d = self.layout.dim
         if data.shape != (d, d):
@@ -173,6 +183,9 @@ class DensityMatrix:
         tr = float(data.trace().real)
         if not 0.0 < tr <= 1.0 + TRACE_TOL:
             raise ValueError(f"trace {tr} outside (0, 1]")
+        spectrum = np.clip(evals[::-1], 0.0, None)
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
     def single(cls, data, name: str = "A") -> "DensityMatrix":
@@ -188,9 +201,9 @@ class DensityMatrix:
         return float(self.data.trace().real)
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, descending, with tiny negatives clamped to zero."""
-        w = np.linalg.eigvalsh(self.data)[::-1]
-        return np.clip(w, 0.0, None)
+        """Eigenvalues, descending, with tiny negatives clamped to zero: a
+        copy of those the construction found."""
+        return self._spectrum.copy()
 
     def marginal(self, *keep: str) -> "DensityMatrix":
         return partial_trace(self, keep)
@@ -460,11 +473,11 @@ def trace_distances(ys, sigma) -> np.ndarray:
     of shape (n, d, r), against one state ``sigma``.
 
     A stack with ``2 r^2 >= d`` costs one :func:`trace_distance` of a d x d
-    difference per sample.  Below that (:func:`secular_path`), where it
-    measured faster on one BLAS thread (d = 4 to 256, r = 1 to 12), the
-    d x d eigenproblem becomes r x r ones, the low-rank update of a diagonal
-    matrix (Golub, SIAM Rev. 15, 318, 1973; Bunch, Nielsen and Sorensen,
-    Numer. Math. 31, 31, 1978): with
+    difference per sample, with the eigensolves batched.  Below that
+    (:func:`secular_path`), where it measured faster on one BLAS thread
+    (d = 4 to 256, r = 1 to 12), the d x d eigenproblem becomes r x r ones,
+    the low-rank update of a diagonal matrix (Golub, SIAM Rev. 15, 318,
+    1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 31, 1978): with
     ``sigma = V diag(t) V^dag`` and ``G = V^dag y``, the difference
     ``A = G G^dag - diag(t)`` has at most r positive eigenvalues, and
     ``||A||_1 = 2 sum_{l>0} l - tr A`` (:func:`_secular_distances`).  That
@@ -498,8 +511,15 @@ def _trace_distances(ys: np.ndarray, s: np.ndarray, eig) -> np.ndarray:
             for lo in range(0, n, size):
                 block = slice(lo, lo + size)
                 dist[block], ok[block] = _secular_distances(vh @ ys[block], t)
-    for i in np.flatnonzero(~ok):
-        dist[i] = trace_distance(ys[i] @ ys[i].conj().T, s)
+    # the dense path for SECULAR_BLOCK / d^2 samples at a time, in one
+    # batched eigvalsh; each y y^dag is the same 2-D product as
+    # trace_distance's callers form, so the values are its own bit for bit
+    rest = np.flatnonzero(~ok)
+    size = max(1, SECULAR_BLOCK // (d * d))
+    for block in (rest[lo:lo + size] for lo in range(0, len(rest), size)):
+        outer = np.stack([ys[i] @ ys[i].conj().T for i in block])
+        outer -= s
+        dist[block] = np.abs(np.linalg.eigvalsh(outer)).sum(axis=1)
     return dist
 
 

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import gc
 import io
 import json
 import os
@@ -7,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memloss import assignment, cli, decoupling, dynamics, entropy
@@ -15,7 +17,8 @@ from memloss.channels import Channel
 from memloss.cli import build_parser, emit, load_config, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
 from memloss.linalg import MAX_ENTRIES, PAULI, Evolver, check_draws
-from memloss.serialize import decode_complex_matrix, decode_complex_vector, save_kraus_file
+from memloss.serialize import (decode_complex_matrix, decode_complex_vector, load_kraus_file,
+                               read_json, require_finite, save_kraus_file)
 
 
 def write_cfg(path, **fields):
@@ -1101,3 +1104,199 @@ class TestConverseConfigFuzz:
         _assert_exits_2_unwritten("converse", {"channel": {"builtin": "identity", "d": 2},
                                                "samples": 3, "seed": 0, "epsilon": 0.05,
                                                "delta": 0.001}, fields)
+
+
+def _old_decode_matrix(rows):
+    """The per-entry decoder that the array pass replaced, kept as its
+    oracle: one ``complex(re, im)`` call per entry."""
+    return require_finite(np.array([[complex(re, im) for re, im in row] for row in rows],
+                                   dtype=complex))
+
+
+def _old_decode_vector(entries):
+    return require_finite(np.array([complex(re, im) for re, im in entries], dtype=complex))
+
+
+def _old_decode_kraus(data):
+    """The old Kraus file reader, with the stacking that Channel did."""
+    if not isinstance(data, list) or not data:
+        raise ValueError("Kraus file must be a non-empty JSON array of matrices")
+    return np.asarray([_old_decode_matrix(m) for m in data], dtype=complex)
+
+
+_DECODERS = {1: (decode_complex_vector, _old_decode_vector),
+             2: (decode_complex_matrix, _old_decode_matrix)}
+# JSON numbers as json.loads returns them; true and false were read as 1 and
+# 0, and an integer past 64 bits as the float it rounds to
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**80, 2**80), st.booleans())
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+# what may stand where a number belongs and is not one; float() would
+# parse the numeric strings
+_NOT_A_FINITE_NUMBER = st.one_of(
+    st.none(), st.text(max_size=3), st.sampled_from(["1.5", "0", "-2e3"]), st.just([1.0]),
+    st.just({}), st.just(10**400), _NONFINITE)
+# (axes, value): one of each kind of break, besides the random ones
+_MALFORMED_EXAMPLES = [
+    (2, [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]),  # ragged rows
+    (3, [[[[1.0, 0.0]]], [[[1.0, 0.0]], [[0.0, 0.0]]]]),  # matrices of two shapes
+    (1, [[1.0, 0.0, 0.0]]),  # a triple
+    (1, [[1.0]]),  # a single
+    (2, [[["1.5", 0.0]]]),  # a numeric string
+    (1, [[None, 0.0]]),  # null
+    (2, [[[[1.0, 0.0]]]]),  # extra nesting
+    (1, []), (2, [[]]), (3, [[[]]]), (3, []),  # empty lists
+    (1, [[float("nan"), 0.0]]), (2, [[[0.0, float("inf")]]]),
+    (3, [[[[float("-inf"), 0.0]]]]),
+    (2, [[[10**400, 0.0]]]),  # past the float range
+]
+
+
+def _with_malformed_examples(test):
+    for case in _MALFORMED_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@st.composite
+def _pairs(draw, axes):
+    """``axes`` levels of non-empty lists of [re, im] pairs, of one shape."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=axes, max_size=axes))
+
+    def build(dims):
+        return draw(_PAIR) if not dims else [build(dims[1:]) for _ in range(dims[0])]
+
+    return build(shape)
+
+
+@st.composite
+def _malformed_pairs(draw, axes):
+    """A draw of :func:`_pairs` broken in one place."""
+    value = draw(_pairs(axes))
+    holder = value
+    for _ in range(axes - 1):
+        holder = holder[draw(st.integers(0, len(holder) - 1))]
+    i = draw(st.integers(0, len(holder) - 1))  # holder[i] is a pair
+    kind = draw(st.sampled_from(["ragged", "triple", "single", "not a number",
+                                 "nested pair", "nested value", "empty pair", "empty"]))
+    if kind == "ragged" and axes > 1:
+        # one more row in one matrix, or one more pair in one row
+        value.append(copy.deepcopy(value[0]))
+        value[-1].append(copy.deepcopy(value[0][0]))
+    elif kind in ("ragged", "triple"):
+        holder[i] = holder[i] + [draw(_NUMBER)]
+    elif kind == "single":
+        holder[i] = holder[i][:1]
+    elif kind == "not a number":
+        holder[i][draw(st.integers(0, 1))] = draw(_NOT_A_FINITE_NUMBER)
+    elif kind == "nested pair":
+        holder[i] = [holder[i]]
+    elif kind == "nested value":
+        value = [value]
+    elif kind == "empty pair":
+        holder[i] = []
+    else:
+        value = draw(st.sampled_from([[], [[]], [[[]]], [[], []]]))
+    return value
+
+
+class TestArrayDecoder:
+    """The one-pass array decoders against the per-entry ``complex(re, im)``
+    decoder they replaced: the same arrays, the same inputs refused."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda axes: st.tuples(st.just(axes), _pairs(axes))))
+    def test_well_formed_match_per_entry_decoder(self, case):
+        axes, value = case
+        new, old = (decode(value) for decode in _DECODERS[axes])
+        assert new.dtype == old.dtype == complex and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pairs(3))
+    def test_kraus_file_matches_per_entry_decoder(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "kraus.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            new = load_kraus_file(path)
+        old = _old_decode_kraus(json.loads(json.dumps(data)))
+        assert new.dtype == complex and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda axes: st.tuples(st.just(axes), _malformed_pairs(axes))))
+    @_with_malformed_examples
+    def test_malformed_refused_by_both(self, case):
+        axes, value = case
+        if axes == 3:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "kraus.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(value, fh)
+                with pytest.raises(cli._PARSE_ERRORS):
+                    load_kraus_file(path)
+            old = _old_decode_kraus
+        else:
+            new, old = _DECODERS[axes]
+            with pytest.raises(cli._PARSE_ERRORS):
+                new(value)
+        try:
+            got = old(value)
+        except cli._PARSE_ERRORS:
+            return
+        # the old decoder let an empty list through as an empty array, which
+        # each consumer refused (test_malformed_exits_2 runs them)
+        assert got.size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda axes: st.tuples(st.just(axes), _malformed_pairs(axes))))
+    @_with_malformed_examples
+    def test_malformed_exits_2(self, case):
+        # a phi, an explicit Hamiltonian's matrix and a Kraus file
+        axes, value = case
+        if axes == 1:
+            err = _assert_exits_2_unwritten("absence", _ABSENCE, {"phi": value})
+            assert "error: bad phi:" in err
+        elif axes == 2:
+            err = _assert_exits_2_unwritten(
+                "criteria-scan", {"times": [0.0]},
+                {"hamiltonian": {"kind": "explicit", "matrix": value, "d_s": 1, "d_e": 1}})
+            assert "error: bad hamiltonian:" in err
+        else:
+            err = _assert_exits_2_unwritten("decoupling", {"samples": 3, "seed": 0},
+                                            {"channel": ("kraus-file", value)})
+            assert "error: bad channel:" in err
+
+
+class TestReadJson:
+    """``read_json`` pauses the cyclic collector for the parse and leaves it
+    as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, tmp_path, enabled):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"a": [[1.0, 2.0]]}')
+        bad.write_text('{"a": [[1.0, 2.0]')
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert read_json(str(good)) == {"a": [[1.0, 2.0]]}
+            assert gc.isenabled() is enabled
+            with pytest.raises(json.JSONDecodeError):
+                read_json(str(bad))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_paused_during_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        path.write_text("[1]")
+        seen = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled())
+                            or loads(text))
+        assert read_json(str(path)) == [1]
+        assert seen == [False]

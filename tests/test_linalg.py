@@ -59,6 +59,41 @@ class TestStates:
         dm = DensityMatrix.single(np.diag([0.1, 0.6, 0.3]))
         assert np.allclose(dm.spectrum(), [0.6, 0.3, 0.1])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(1, d), st.integers(0, 2**32 - 1), st.booleans())))
+    def test_spectrum_kept_from_validation(self, case):
+        # the eigenvalues of the construction's check, bit for bit what an
+        # eigvalsh of the data gives, and a copy each call; low ranks have
+        # eigenvalues at rounding level on both sides of zero
+        d, rank, seed, marginal = case
+        dm = random_density(d, seed, rank=rank)
+        if marginal and d % 2 == 0:
+            dm = DensityMatrix(dm.data, SubsystemLayout.of(("A", 2), ("B", d // 2)))
+            dm = dm.marginal("B")
+        expected = np.clip(np.linalg.eigvalsh(dm.data)[::-1], 0.0, None)
+        got = dm.spectrum()
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        got[:] = -1.0
+        assert dm.spectrum().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda a: DensityMatrix.single(a),
+        lambda a: DensityMatrix(a, SubsystemLayout.of(("A", 2), ("B", 2))),
+        lambda a: DensityMatrix.single(a[:, :]),
+    ])
+    def test_data_cannot_be_written_past_the_spectrum(self, make):
+        # the state neither shares the caller's array nor lets its own data
+        # be written, so data and the kept spectrum cannot disagree
+        a = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        dm = make(a)
+        a[:] = np.diag([0.7, 0.1, 0.1, 0.1])
+        assert np.array_equal(dm.data, np.diag([0.4, 0.3, 0.2, 0.1]))
+        assert np.allclose(dm.spectrum(), [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(ValueError):
+            dm.data[0, 0] = 1.0
+        assert np.allclose(dm.spectrum(), np.linalg.eigvalsh(dm.data)[::-1])
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -326,17 +361,24 @@ class TestTraceDistances:
     @pytest.mark.parametrize("cap", [0, 1])
     def test_sweep_cap_falls_back_to_dense(self, monkeypatch, cap):
         # a sample whose roots are not found within the cap takes the dense
-        # eigensolve: the same values, and no unconverged number
+        # eigensolve: trace_distance's value bit for bit, and no unconverged
+        # number
         ys, sigma = _low_rank_case(64, 4, "random", "random", 11, n=9)
         converged = trace_distances(ys, sigma)
-        calls = []
-        dense = linalg.trace_distance
+        unconverged = []
+        secular = linalg._secular_distances
+
+        def recorded(g, t):
+            dist, ok = secular(g, t)
+            unconverged.extend(~ok)
+            return dist, ok
+
         monkeypatch.setattr(linalg, "SECULAR_MAX_SWEEPS", cap)
-        monkeypatch.setattr(linalg, "trace_distance",
-                            lambda a, b: calls.append(1) or dense(a, b))
+        monkeypatch.setattr(linalg, "_secular_distances", recorded)
         capped = trace_distances(ys, sigma)
-        assert len(calls) == len(ys)
-        assert np.array_equal(capped, _dense(ys, sigma))
+        assert len(unconverged) == len(ys) and all(unconverged)
+        for got, y in zip(capped, ys):
+            assert got == trace_distance(y @ y.conj().T, sigma)
         assert np.abs(capped - converged).max() < 1e-12
 
     def test_dense_path_for_high_rank_and_non_states(self, monkeypatch):
