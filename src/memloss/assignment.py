@@ -19,7 +19,8 @@ import numpy as np
 
 from .dynamics import HamiltonianSpec
 from .linalg import (ISOMETRY_TOL, check_draws, fidelity, hermitian_eig,
-                     indexed_haar_states, isometry_deviation, kron, trace_distance)
+                     indexed_haar_states, isometry_deviation, kron, trace_distance,
+                     trace_distances)
 
 # coupling_for_delta stops this close to its target, or after this many bisections
 COUPLING_TOL, COUPLING_MAX_ITER = 1e-4, 60
@@ -227,9 +228,8 @@ def verify_absence(spec: HamiltonianSpec, phi, times, n_env_samples: int = 20,
         tau_s = flat @ flat.conj().T
         max_dist = max(max_dist, trace_distance(tau_s, phi_dm))
         min_margin = min(min_margin, fidelity(tau_s, phi_dm) - fid_floor)
-        for col in y[:, d_e:].T:
-            m = col.reshape(d_s, d_e)
-            exceed += trace_distance(m @ m.conj().T, phi_dm) > radius
+        samples = y[:, d_e:].T.reshape(-1, d_s, d_e)   # S marginals m m^dag
+        exceed += int((trace_distances(samples, phi_dm) > radius).sum())
     total = n_env_samples * len(times)
     frac = exceed / total if total else 0.0
     return AbsenceReport(delta_phi=result.delta_phi, bound=bound,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .entropy import von_neumann
+from .entropy import shannon
 from .linalg import (
     ISOMETRY_TOL,
     MAX_ENTRIES,
@@ -17,6 +17,7 @@ from .linalg import (
     SubsystemLayout,
     as_matrix,
     isometry_deviation,
+    marginal_spectra,
 )
 
 
@@ -114,9 +115,10 @@ class Channel:
 
         ``V = sum_k K_k (x) |k>_E`` is the Stinespring isometry of the Kraus
         array, so ``tr_E`` gives :meth:`apply` and ``tr_S`` the
-        complementary channel.  For a channel built from a dilation
-        ``(psi, U)`` this is ``U (rho (x) |psi><psi|) U^dag``, as
-        ``U (|s> (x) psi) = sum_i K_i |s> (x) |i>``.
+        complementary channel; at the flat input both spectra are
+        :meth:`choi_spectra`, which reads them without building this state.
+        For a channel built from a dilation ``(psi, U)`` this is ``U (rho (x)
+        |psi><psi|) U^dag``, as ``U (|s> (x) psi) = sum_i K_i |s> (x) |i>``.
         """
         rho = as_matrix(rho)
         if rho.shape != (self.input_dim, self.input_dim):
@@ -144,18 +146,18 @@ class Channel:
         """Eigenvalues, descending, of the Choi state (its nonzero part) and of
         its B marginal ``T(I/d_A)``, without building the Choi state.
 
-        The nonzero spectrum of J is that of the r x r Gram matrix
-        ``tr(K_k^dag K_l) / d_A``.  One Kraus operator is an isometry
-        (completeness), so J is pure and ``T(I/d_A)`` is flat on a
-        d_A-dimensional range.
+        The Kraus array read as r d_out x d_A columns is the Stinespring
+        isometry with E as the first factor, and the flat input's dilation
+        state is ``V V^dag / d_A``: its E spectrum is J's nonzero one and its
+        S marginal ``T(I/d_A)``, both from one :func:`linalg.marginal_spectra`.
+        One Kraus operator is an isometry (completeness), so J is pure and
+        ``T(I/d_A)`` is flat on a d_A-dimensional range.
         """
-        d_in = self.input_dim
-        if len(self.kraus) == 1:
-            return np.array([1.0]), np.pad(np.full(d_in, 1.0 / d_in),
-                                           (0, self.output_dim - d_in))
-        v = self.kraus.reshape(len(self.kraus), -1)
-        return tuple(np.clip(np.linalg.eigvalsh(h)[::-1], 0.0, None)
-                     for h in (v.conj() @ v.T / d_in, self.apply(np.eye(d_in) / d_in)))
+        r, d_out, d_in = self.kraus.shape
+        if r == 1:
+            return np.array([1.0]), np.pad(np.full(d_in, 1.0 / d_in), (0, d_out - d_in))
+        joint, marg = marginal_spectra(self.kraus.reshape(-1, d_in), r, d_out)
+        return joint / d_in, marg / d_in
 
 
 def depolarizing(p: float) -> Channel:
@@ -177,17 +179,16 @@ def iid_threshold(family, lo: float = 0.0, hi: float = 1.0,
 
     ``family(p)`` is any :class:`Channel`; ``tau_SE`` is its dilation
     (:meth:`Channel.dilation_state`) of the maximally mixed input, so the
-    gap is ``H(T(pi)) - H(T^c(pi))``.  The root is found by bisection
+    gap is ``H(T(pi)) - H(T^c(pi))``, the Shannon entropies of the two
+    :meth:`Channel.choi_spectra`.  The root is found by bisection
     (monotonicity is not assumed) on the bracket ``lo < hi``.
     """
     if not lo < hi:
         raise ValueError(f"threshold bracket needs lo < hi, got [{lo}, {hi}]")
 
     def gap(p: float) -> float:
-        ch = family(p)
-        pi = np.eye(ch.input_dim, dtype=complex) / ch.input_dim
-        tau = ch.dilation_state(pi)
-        return von_neumann(tau.marginal("S")) - von_neumann(tau.marginal("E"))
+        joint, marg = family(p).choi_spectra()
+        return shannon(marg) - shannon(joint)
 
     g_lo, g_hi = gap(lo), gap(hi)
     if g_lo == 0.0:

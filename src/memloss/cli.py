@@ -14,8 +14,8 @@ import numpy as np
 
 from . import assignment, decoupling, dynamics
 from .channels import Channel, depolarizing, iid_threshold
-from .entropy import von_neumann
-from .linalg import MAX_ENTRIES, maximally_mixed
+from .entropy import shannon
+from .linalg import MAX_ENTRIES
 from .serialize import (atomic_write_text, decode_complex_vector, load_kraus_file,
                         read_json, reject_unknown_keys, require_float, require_int)
 
@@ -252,9 +252,8 @@ def run_depol_threshold(p_lo, p_hi, tol, p_min, p_max, num, format, output) -> i
     p_c = iid_threshold(depolarizing, lo=p_lo, hi=p_hi, tol=tol)
     rows = []
     for p in np.linspace(p_min, p_max, num):
-        tau = depolarizing(float(p)).dilation_state(maximally_mixed(2))
-        rows.append([float(p), von_neumann(tau.marginal("S")),
-                     von_neumann(tau.marginal("E"))])
+        joint, marg = depolarizing(float(p)).choi_spectra()
+        rows.append([float(p), shannon(marg), shannon(joint)])
     if output is not None:
         emit((["p", "H_S", "H_E"], rows), format, output)
     print(f"p_c = {p_c:.6f}")

@@ -20,6 +20,7 @@ from .linalg import (
     hermiticity_deviation,
     isometry_deviation,
     kron,
+    marginal_spectra,
     trace_distance,
 )
 
@@ -244,20 +245,6 @@ def tilde_tau_SE(spec: HamiltonianSpec, t: float) -> DensityMatrix:
     return _evolved(spec, _tilde_columns(spec), t)
 
 
-def _squared_singular_values(m: np.ndarray) -> np.ndarray:
-    """Spectrum of ``m m^dag``, descending, zero-padded to its dimension
-    (``h_min_smooth`` reads the dimension off the spectrum's length)."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    return np.pad(sv * sv, (0, m.shape[0] - sv.size))
-
-
-def _marginal_spectra(y: np.ndarray, d_s: int, d_e: int) -> tuple[np.ndarray, np.ndarray]:
-    """S and E spectra of ``y y^dag`` on S (x) E, from its d x r columns."""
-    cols = y.reshape(d_s, d_e, -1)
-    return (_squared_singular_values(cols.reshape(d_s, -1)),
-            _squared_singular_values(cols.swapaxes(0, 1).reshape(d_e, -1)))
-
-
 # ---------------------------------------------------------------------------
 # Criteria.
 # ---------------------------------------------------------------------------
@@ -265,7 +252,7 @@ def _marginal_spectra(y: np.ndarray, d_s: int, d_e: int) -> tuple[np.ndarray, np
 
 def _criteria(spec: HamiltonianSpec, y: np.ndarray, t: float,
               eps: float) -> tuple[CriterionVerdict, CriterionVerdict]:
-    s, e = _marginal_spectra(y, spec.d_s, spec.d_e)
+    s, e = marginal_spectra(y, spec.d_s, spec.d_e)
     hmin_s, hmax_s = h_min_smooth(s, eps), h_max_smooth(s, eps)
     hmin_e, hmax_e = h_min_smooth(e, eps), h_max_smooth(e, eps)
 

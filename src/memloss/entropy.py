@@ -468,27 +468,19 @@ def _interior_point(rho: np.ndarray, d_a: int, d_b: int):
     return sigma, x, steps
 
 
-def h_min_cond(rho: DensityMatrix, eps: float = 0.0) -> float:
+def h_min_cond(rho: DensityMatrix) -> float:
     """``H_min(A|B)`` of a two-factor state, conditioning on the second factor.
 
-    For ``eps > 0`` the value is improved over the restricted family
-    ``(1 - delta) rho`` with ``delta <= eps^2``, giving
-    ``H_min(A|B) + log2 1/(1 - eps^2)`` -- a lower bound on the smoothed
-    quantity, not the full-ball optimum.  Raises ``RuntimeError`` when the
-    SDP solve did not converge.
+    Raises ``RuntimeError`` when the SDP solve did not converge.
     """
     if len(rho.layout.factors) != 2:
         raise ValueError("h_min_cond expects a two-factor layout [A, B]")
-    _smooth_target(eps)  # checks 0 <= eps < 1 before the solve
     d_a, d_b = rho.layout.dims
     result = min_entropy_sdp(rho.data, d_a, d_b)
     if not result.converged:
         raise RuntimeError(f"conditional min-entropy SDP did not converge "
                            f"({result.newton_steps} Newton steps, gap {result.gap:.1e})")
-    value = result.value
-    if eps > 0.0:
-        value += float(np.log2(1.0 / (1.0 - eps * eps)))
-    return value
+    return result.value
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,26 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
     return DensityMatrix(t.reshape(d, d), new_layout)
 
 
+def marginal_spectra(y: np.ndarray, d_s: int, d_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and E spectra of ``y y^dag`` on S (x) E from its d_s d_e x r columns
+    y: descending, clipped at 0 and zero-padded to d_s and d_e.
+
+    Each marginal is ``a a^dag`` for a block a of the columns, d_s x d_e r
+    for S and d_e x d_s r for E, and its spectrum that of the Gram matrix of
+    a's smaller side; for E with ``d_s r < d_e``, ``a^dag a`` is the state on
+    S and the reference.  ``zherk`` on the F-contiguous view ``a.T`` forms one
+    triangle of its conjugate, which has the same spectrum.
+    """
+    cols = np.asarray(y, dtype=complex).reshape(d_s, d_e, -1)
+    spectra = []
+    for a in (cols.reshape(d_s, -1), cols.transpose(1, 0, 2).reshape(d_e, -1)):
+        m, k = a.shape
+        g = zherk(1.0, np.ascontiguousarray(a).T, trans=2 if m <= k else 0)
+        w = np.clip(np.linalg.eigvalsh(g, UPLO="U")[::-1], 0.0, None)
+        spectra.append(np.pad(w, (0, m - w.size)))
+    return tuple(spectra)
+
+
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memloss.channels import Channel, depolarizing, iid_threshold
@@ -293,6 +293,20 @@ class TestChoi:
         assert joint.tolist() == [1.0]
         assert np.allclose(marg, np.full(64, 1 / 64))
 
+    def test_identity_spectra_skip_the_routine(self, monkeypatch):
+        # one Kraus operator takes the closed form, so the 2048 x 2048
+        # identity (64 MiB dense) is never made dense; any other channel
+        # still takes the routine
+        def no_routine(*args, **kwargs):
+            raise AssertionError("marginal_spectra called")
+
+        monkeypatch.setattr("memloss.channels.marginal_spectra", no_routine)
+        joint, marg = Channel.identity(2048).choi_spectra()
+        assert joint.tolist() == [1.0]
+        assert marg.tolist() == [1 / 2048] * 2048
+        with pytest.raises(AssertionError, match="marginal_spectra called"):
+            depolarizing(0.1).choi_spectra()
+
     def test_analytic_matches_explicit(self):
         fast = Channel.identity(3)
         slow = Channel.from_kraus([np.eye(3)])
@@ -311,11 +325,15 @@ class TestChoi:
         assert np.abs(choi.data - choi_by_conjugation(ch)).max() < 1e-14
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 12),
            st.integers(0, 2**32 - 1))
+    @example(2, 3, 9, 0)
+    @example(3, 2, 2, 1)
     def test_spectra_match_choi_state(self, d_in, d_out, rank, seed):
         # rank 1 takes the closed form (with d_out > d_in an isometry into a
-        # larger space), higher ranks the Gram matrix
+        # larger space), higher ranks linalg.marginal_spectra, which reads
+        # the Choi state's spectrum off a Gram matrix of side min(r, d_in
+        # d_out): r > d_in d_out pads it with zeros to r entries
         ch = random_isometry_channel(d_in, d_out, rank, seed)
         choi = ch.choi().state
         joint, marg = ch.choi_spectra()

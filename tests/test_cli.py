@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memloss import assignment, cli, decoupling, dynamics, entropy
-from memloss.channels import Channel
+from memloss.channels import Channel, depolarizing
 from memloss.cli import build_parser, emit, load_config, main
 from memloss.dynamics import HamiltonianSpec, spec_to_dict
-from memloss.linalg import MAX_ENTRIES, PAULI, Evolver, check_draws
+from memloss.linalg import MAX_ENTRIES, PAULI, Evolver, check_draws, maximally_mixed
 from memloss.serialize import (decode_complex_matrix, decode_complex_vector, load_kraus_file,
                                read_json, require_finite, save_kraus_file)
 
@@ -238,6 +238,20 @@ class TestDepolThreshold:
         assert main(["depol-threshold", cfg, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == "p,H_S,H_E"
+
+    def test_table_matches_dilation_marginals(self, tmp_path, capsys):
+        # H_S and H_E are the entropies of the dilation state's marginals at
+        # the flat input, read here off partial traces of the dense state
+        out = tmp_path / "t.json"
+        cfg = write_cfg(tmp_path / "c.json", p_max=1.0, num=11, format="json",
+                        output=str(out))
+        assert main(["depol-threshold", cfg]) == 0
+        rows = json.loads(out.read_text())
+        assert [row["p"] for row in rows] == np.linspace(0.0, 1.0, 11).tolist()
+        for row in rows:
+            tau = depolarizing(row["p"]).dilation_state(maximally_mixed(2))
+            assert abs(row["H_S"] - entropy.von_neumann(tau.marginal("S"))) < 1e-12
+            assert abs(row["H_E"] - entropy.von_neumann(tau.marginal("E"))) < 1e-12
 
     def test_reversed_bracket_exits_2(self, tmp_path, capsys):
         # bisecting [0.3, 0.1] used to print p_c = 0.200000; the root is 0.189290

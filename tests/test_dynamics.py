@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
@@ -14,7 +14,6 @@ from memloss.dynamics import (
     MEMORY_LOST,
     MEMORY_RETAINED,
     HamiltonianSpec,
-    _marginal_spectra,
     _tau_columns,
     _tilde_columns,
     dimension_certificates,
@@ -487,16 +486,21 @@ class TestColumnEvolution:
         assert np.abs(tilde_tau_SE(spec, t).data - want_tilde).max() < 1e-10
 
     @PROPERTY
-    @given(explicit_specs(), times_st)
-    def test_marginal_spectra_match_dense_oracle(self, spec, t):
-        d_s, d_e = spec.d_s, spec.d_e
-        for x0, rho in zip((_tau_columns(spec), _tilde_columns(spec)),
-                           oracle_states(spec, t)):
-            got = _marginal_spectra(spec.evolver.apply(x0, t), d_s, d_e)
-            for lam, marginal in zip(got, oracle_marginals(rho, d_s, d_e)):
-                want = np.linalg.eigvalsh(marginal)[::-1]
-                assert lam.shape == want.shape
-                assert np.abs(lam - want).max() < 1e-10
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    # each factor's Gram matrix on both sides: (1, 4, 2) has d_s r < d_e,
+    # so E's is a^dag a, the state on S and the reference, and S's is a a^dag;
+    # (4, 1, 2) the reverse
+    @example(1, 4, 2, 0)
+    @example(4, 1, 2, 0)
+    def test_marginal_spectra_match_dense_oracle(self, d_s, d_e, r, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal((d_s * d_e, r)) + 1j * rng.standard_normal((d_s * d_e, r))
+        y /= np.linalg.norm(y)
+        got = linalg.marginal_spectra(y, d_s, d_e)
+        for lam, marginal in zip(got, oracle_marginals(y @ y.conj().T, d_s, d_e)):
+            want = np.clip(np.linalg.eigvalsh(marginal)[::-1], 0.0, None)
+            assert lam.shape == want.shape
+            assert np.abs(lam - want).max() < 1e-12
 
     @PROPERTY
     @given(explicit_specs(subspaces=False),
@@ -713,7 +717,7 @@ class TestChainEvolution:
         oracle = []
         for x0, rho0 in zip((_tau_columns(spec), _tilde_columns(spec)), rho0s):
             for u, y in zip(units, spec.evolver.evolve(x0, times)):
-                got = _marginal_spectra(y, d_s, d_e)
+                got = linalg.marginal_spectra(y, d_s, d_e)
                 want = [np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
                         for m in oracle_marginals(u @ rho0 @ u.conj().T, d_s, d_e)]
                 for lam, ref in zip(got, want):

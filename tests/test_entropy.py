@@ -613,12 +613,6 @@ class TestConditionalSdp:
             assert -1.0 - 1e-6 <= hmin <= hab + 1e-6
             assert hab <= 1.0 + 1e-10
 
-    def test_eps_shift(self):
-        psi = max_entangled(2)
-        base = h_min_cond(psi)
-        shifted = h_min_cond(psi, eps=0.1)
-        assert abs(shifted - base - np.log2(1 / 0.99)) < 1e-9
-
 
 class TestCqClosedForm:
     def test_eps_zero_mixed(self):
