@@ -323,12 +323,19 @@ RUNNERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, or with ``command`` one that holds that subcommand
+    alone.  Its usage line names every subcommand, so any error it reports
+    after the subcommand reads as the full parser's would."""
     parser = argparse.ArgumentParser(
         prog="memloss",
         description="entropic memory-loss criteria for quantum dynamics")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
+    # the full parser keeps argparse's own metavar: it labels the error on an
+    # unknown subcommand "argument command:"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(RUNNERS) + "}")
+    for name in RUNNERS if command is None else (command,):
         p = sub.add_parser(name)
         p.add_argument("config", nargs="?", default=None,
                        help="JSON experiment config (schema 1)")
@@ -339,8 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only the parser of the subcommand it names first; help,
+    # no arguments and any other first word take the full parser
+    command = argv[0] if argv and argv[0] in RUNNERS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error (or --help)
         return exc.code
     try:

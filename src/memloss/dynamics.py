@@ -58,7 +58,9 @@ class HamiltonianSpec:
     subspaces and reference initial states the criteria need.
 
     ``matrix`` is a dense array or a scipy sparse matrix (spin chains); its
-    type picks the :class:`Evolver` path.
+    type picks the :class:`Evolver` path.  A dense matrix is held complex; a
+    sparse one as a CSR, real where its entries are (every spin chain) and
+    complex otherwise.
 
     ``omega_s`` / ``omega_e`` are isometries (orthonormal columns) into S
     resp. E; ``None`` means the full space.  ``psi_e`` is the environment
@@ -77,7 +79,9 @@ class HamiltonianSpec:
 
     def __post_init__(self):
         if sparse.issparse(self.matrix):
-            self.matrix = sparse.csr_array(self.matrix, dtype=complex)
+            # a real CSR (every spin chain) stays real, as the Evolver runs it
+            self.matrix = sparse.csr_array(
+                self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         else:
             self.matrix = np.asarray(self.matrix, dtype=complex)
         if tuple(self.layout.names) != ("S", "E"):

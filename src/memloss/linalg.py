@@ -322,21 +322,23 @@ class Evolver:
     is thus exact up to the coefficient tail ``sum_{k>=K} |c_k| < 2e-16``
     times the column norm, plus rounding, and as the maps are unitary these
     errors add up from window to window.  A Hamiltonian without imaginary
-    entries (every spin chain) runs the recurrence in real arithmetic: on
-    the columns' real part where their imaginary part is zero (the t = 0
-    columns of the special states), else on their float view.
+    entries runs the recurrence in real arithmetic: a real sparse ``h``
+    (every spin chain) as it is, with no complex copy, and a complex one by
+    its real part.  The recurrence runs on the columns' real part where
+    their imaginary part is zero (the t = 0 columns of the special states),
+    else on their float view.
     """
 
     def __init__(self, h):
         if sparse.issparse(h):
-            h = sparse.csr_array(h, dtype=complex)
+            h = sparse.csr_array(h, dtype=complex if np.iscomplexobj(h) else float)
             self.radius = float(abs(h).sum(axis=1).max())
             # the recurrence's matrix 2H/a, built once; where 2/a is not
             # finite (a zero or subnormal) a time below dt = 1e292 has a
             # single Chebyshev term and never multiplies by it
             scale = 2.0 / self.radius if self.radius else math.inf
             h2 = h * scale if math.isfinite(scale) else h
-            if not h2.data.imag.any():
+            if h2.dtype == complex and not h2.data.imag.any():
                 h2 = sparse.csr_array((np.ascontiguousarray(h2.data.real), h2.indices,
                                        h2.indptr), shape=h2.shape)
             self.h2 = h2

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import sys
 import tempfile
 from unittest import mock
 
@@ -224,6 +225,67 @@ class TestOverrideFlags:
         else:
             assert main(argv) == 2
             assert f"--{flag}" in capsys.readouterr().err
+
+
+# argv for main against the full parser: help, usage errors before and after
+# the subcommand, and a parse that reaches the config check
+PARSER_ARGV = [
+    [], ["-h"], ["--help"], *([name, "--help"] for name in READS), ["nosuch"],
+    ["nosuch", "c.json"], ["--seed", "3", "criteria-scan"], ["criteria-scan", "--bogus"],
+    ["criteria-scan", "--seed", "3"], ["decoupling", "--seed", "x"],
+    ["lightcone", "--format", "xml"], ["converse", "--epsilon"],
+    ["absence", "a.json", "b.json"], ["recurrence"],
+]
+
+
+def subparsers(parser):
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
+class TestParserParity:
+    """A run builds the parser of the subcommand its first word names; the
+    full parser is the oracle for its exit code, stdout and stderr."""
+
+    @staticmethod
+    def outcome(monkeypatch, capsys, argv, full, console):
+        with monkeypatch.context() as m:
+            if full:
+                m.setattr(cli, "build_parser", lambda command=None: build_parser())
+            if console:   # the console script calls main() on sys.argv
+                m.setattr(sys, "argv", ["memloss", *argv])
+            code = main() if console else main(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("console", [False, True])
+    @pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda a: " ".join(a) or "none")
+    def test_matches_full_parser(self, monkeypatch, capsys, argv, console):
+        got = self.outcome(monkeypatch, capsys, argv, False, console)
+        want = self.outcome(monkeypatch, capsys, argv, True, console)
+        assert got == want
+        assert want[0] in (0, 2) and (want[1] or want[2])
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_one_subcommand_parser_has_its_options(self, command):
+        def options(parser):
+            return [(a.option_strings, a.dest, a.nargs, a.type, a.choices, a.default,
+                     a.help) for a in parser._actions]
+
+        one, full = build_parser(command), build_parser()
+        assert list(subparsers(one)) == [command]
+        assert options(subparsers(one)[command]) == options(subparsers(full)[command])
+        assert one.format_usage() == full.format_usage()
+
+    def test_run_builds_one_subparser(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        assert main(["criteria-scan"]) == 2
+        assert main(["--help"]) == 0
+        # the full parser keeps argparse's label of its subcommand argument
+        assert main(["nosuch"]) == 2
+        assert "error: argument command: invalid choice: 'nosuch'" in capsys.readouterr().err
+        assert built == ["criteria-scan", None, None]
 
 
 class TestDepolThreshold:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from unittest import mock
 
@@ -9,6 +10,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from memloss import assignment, linalg
+from memloss.cli import main
 from memloss.dynamics import (
     INCONCLUSIVE,
     MEMORY_LOST,
@@ -30,6 +32,7 @@ from memloss.dynamics import (
 from memloss.entropy import h_max, h_max_smooth, h_min, h_min_smooth
 from memloss.linalg import (PAULI, Evolver, SubsystemLayout, chebyshev_coefficients, haar_state,
                             kron, trace_distance)
+from memloss.serialize import decode_complex_vector
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -752,3 +755,84 @@ class TestChainEvolution:
         # exact columns: the S marginal is flat with trace 1, E is pure
         assert retained.lhs == h_min_smooth(np.full(4, 0.25), 0.05)
         assert retained.rhs == 0.0
+
+
+@st.composite
+def real_chains(draw):
+    """Chain parameters, N <= 9, either model; bonds, j and the field may be 0."""
+    n = draw(st.integers(2, 9))
+    coupling = st.one_of(st.just(0.0), st.floats(-1.5, 1.5, allow_nan=False))
+    return dict(n_sites=n, s_sites=draw(st.integers(1, n - 1)),
+                model=draw(st.sampled_from(["tfi", "heisenberg"])), j=draw(coupling),
+                h_field=draw(coupling),
+                bond_couplings=draw(st.lists(coupling, min_size=n - 1, max_size=n - 1)))
+
+
+def as_complex(spec):
+    """``spec`` with its matrix cast to complex: the oracle of a real CSR."""
+    return HamiltonianSpec(matrix=spec.matrix.astype(complex), layout=spec.layout,
+                           psi_e=spec.psi_e, phi_s=spec.phi_s)
+
+
+class TestRealChainMatrix:
+    """A chain is held as the real CSR its evolution runs on.  Its complex
+    cast is the oracle: every value read off it agrees bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(real_chains())
+    def test_chain_is_a_real_csr(self, params):
+        spec = HamiltonianSpec.spin_chain(**params)
+        cast = as_complex(spec).matrix
+        assert isinstance(spec.matrix, sparse.csr_array)
+        assert spec.matrix.dtype == np.float64 and cast.dtype == complex
+        dense, dense_cast = spec.matrix.toarray(), cast.toarray()
+        assert dense.tobytes() == np.ascontiguousarray(dense_cast.real).tobytes()
+        assert not dense_cast.imag.any()
+        n = params["n_sites"]
+        want = dense_chain(n, params["model"], params["j"], params["h_field"],
+                           params["bond_couplings"])
+        assert np.abs(dense - want).max() < 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(real_chains(), st.integers(0, 2**32 - 1))
+    def test_evolver_matches_complex_cast(self, params, seed):
+        d_e = 2 ** (params["n_sites"] - params["s_sites"])
+        spec = HamiltonianSpec.spin_chain(**params, psi_e=np.eye(1, d_e)[0])
+        real, cast = Evolver(spec.matrix), Evolver(spec.matrix.astype(complex))
+        assert real.radius == cast.radius
+        assert real.h2.dtype == cast.h2.dtype == np.float64
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(real.h2, attr).tobytes() == getattr(cast.h2, attr).tobytes()
+        d, rng = spec.matrix.shape[0], np.random.default_rng(seed)
+        times = [0.0, 0.4, 1.9, 1.9, 0.7]
+        # the special state's columns, real at t = 0 (the recurrence runs on
+        # their real part), and complex ones (on their float view)
+        for x0 in (_tau_columns(spec),
+                   rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))):
+            for a, b in zip(real.evolve(x0, times), cast.evolve(x0, times)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_complex_sparse_explicit_stays_complex(self):
+        rng = np.random.default_rng(11)
+        g = sparse.random_array((8, 8), density=0.4, rng=rng)
+        for h in ((g + g.T) / 2 + 0.5j * (g - g.T), sparse.csr_array((g + g.T) / 2,
+                                                                     dtype=complex)):
+            spec = HamiltonianSpec.explicit(h, 2, 4)
+            assert isinstance(spec.matrix, sparse.csr_array)
+            assert spec.matrix.dtype == complex
+            assert np.array_equal(spec.matrix.toarray(), h.toarray())
+
+    def test_absence_on_a_chain_writes_the_complex_cast_bytes(self, tmp_path):
+        chain = {"kind": "spin_chain", "n_sites": 6, "s_sites": 1, "model": "heisenberg",
+                 "j": 0.9, "h_field": 1.1, "bond_couplings": [1.0, 0.5, 0.0, 1.0, 0.7]}
+        phi, times = [[0.6, 0.0], [0.0, 0.8]], [0.0, 0.5, 1.3]
+        out, cfg = tmp_path / "absence.json", tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schema": 1, "hamiltonian": chain, "phi": phi,
+                                   "times": times, "samples": 5, "seed": 4,
+                                   "output": str(out)}))
+        assert main(["absence", str(cfg)]) == 0
+        spec = as_complex(spec_from_dict(chain))
+        assert spec.matrix.dtype == complex
+        report = assignment.verify_absence(spec, decode_complex_vector(phi), times,
+                                           n_env_samples=5, seed=4)
+        assert out.read_text() == report.to_json() + "\n"

@@ -223,6 +223,23 @@ class TestEvolution:
                 assert np.abs(y - expm(-1j * t * h.toarray()) @ x0).max() < 1e-12
             assert np.abs(ev.apply(x0, 0.5) - ys[1]).max() < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_real_sparse_runs_as_its_complex_cast(self, dtype):
+        # a real CSR is taken as it is, its complex cast by its real part:
+        # the radius, 2H/a and every column agree bit for bit
+        from scipy import sparse
+        rng = np.random.default_rng(8)
+        g = sparse.random_array((24, 24), density=0.3, rng=rng) * 10
+        h = ((g + g.T) / 2).astype(dtype)
+        real, cast = Evolver(h), Evolver(h.astype(complex))
+        assert real.radius == cast.radius
+        assert real.h2.dtype == cast.h2.dtype == np.float64
+        assert real.h2.data.tobytes() == cast.h2.data.tobytes()
+        x0 = rng.standard_normal((24, 3)) + 1j * rng.standard_normal((24, 3))
+        times = [0.5, 0.5, 2.0, 0.0]
+        for a, b in zip(real.evolve(x0, times), cast.evolve(x0, times)):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("z", [0.0, 1e-300, 1e-8, 0.3, 5.0, 14.5, 120.0, -7.5])
     def test_chebyshev_coefficients_are_bessel(self, z):
         from scipy.special import jv
